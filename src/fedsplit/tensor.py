@@ -9,6 +9,15 @@ sequence, so two runs that execute the same operators in the same order
 produce bitwise-identical gradients. That determinism is load-bearing: it is
 what lets a model split across processes reproduce a monolithic run exactly.
 
+A backward function returns a gradient only for the parents that have
+``requires_grad`` and ``None`` for the rest, so frozen weights (every base
+projection under LoRA) and inputs that need no gradient (the output of a frozen
+embedding) cost no backward work. Every gradient that is computed uses the same
+arithmetic either way, so skipping one never changes another's bits.
+
+Grad mode is per thread: ``no_grad()`` in one thread leaves tape recording on
+in every other thread.
+
 Only the operators needed by the model family live here: dense matmul/linear,
 RMSNorm, SiLU, rotary-embedded masked attention, embedding lookup, and a fused
 softmax cross-entropy loss. All backwards are hand-derived; finite-difference
@@ -19,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -26,24 +36,28 @@ import numpy as np
 
 from .errors import DegenerateBatchError, GradError, ShapeError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
 _creation_counter = itertools.count()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block, in this thread only (inference fast path)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def grad_enabled() -> bool:
-    return _grad_enabled
+    return _grad_mode.enabled
 
 
 class Tensor:
@@ -135,7 +149,7 @@ def _wrap(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -163,7 +177,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul requires equal shapes, got {a.data.shape} and {b.data.shape}")
 
     def backward(g):
-        return g * b.data, g * a.data
+        ga = g * b.data if a.requires_grad else None
+        gb = g * a.data if b.requires_grad else None
+        return ga, gb
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -191,7 +207,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = a.data.T @ g if b.requires_grad else None
+        return ga, gb
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -211,10 +229,12 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         )
 
     def backward(g):
-        gx = g @ w.data
-        g2 = g.reshape(-1, w.data.shape[0])
-        x2 = x.data.reshape(-1, w.data.shape[1])
-        gw = g2.T @ x2
+        gx = g @ w.data if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            g2 = g.reshape(-1, w.data.shape[0])
+            x2 = x.data.reshape(-1, w.data.shape[1])
+            gw = g2.T @ x2
         return gx, gw
 
     return _make(x.data @ w.data.T, (x, w), backward)
@@ -233,12 +253,10 @@ def silu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    # exp of a non-positive argument never overflows; for v >= 0 this is
+    # 1 / (1 + exp(-v)) and for v < 0 it is exp(v) / (1 + exp(v)), bit for bit
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
@@ -258,11 +276,13 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     out = normed * weight.data
 
     def backward(g):
-        gw_full = g * normed
-        gw = gw_full.reshape(-1, dim).sum(axis=0)
-        gwx = g * weight.data
-        dot = np.sum(gwx * x.data, axis=-1, keepdims=True)
-        gx = gwx / r - x.data * (dot / (dim * r * r * r))
+        gx = gw = None
+        if weight.requires_grad:
+            gw = (g * normed).reshape(-1, dim).sum(axis=0)
+        if x.requires_grad:
+            gwx = g * weight.data
+            dot = np.sum(gwx * x.data, axis=-1, keepdims=True)
+            gx = gwx / r - x.data * (dot / (dim * r * r * r))
         return gx, gw
 
     return _make(out, (x, weight), backward)
@@ -421,12 +441,17 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
     out = np.matmul(probs, v.data)
 
     def backward(g):
-        gv = np.matmul(probs.swapaxes(-1, -2), g)
-        gp = np.matmul(g, v.data.swapaxes(-1, -2))
-        inner = np.sum(gp * probs, axis=-1, keepdims=True)
-        gs = probs * (gp - inner)
-        gq = np.matmul(gs, k.data) * inv_scale
-        gk = np.matmul(gs.swapaxes(-1, -2), q.data) * inv_scale
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = np.matmul(probs.swapaxes(-1, -2), g)
+        if q.requires_grad or k.requires_grad:
+            gp = np.matmul(g, v.data.swapaxes(-1, -2))
+            inner = np.sum(gp * probs, axis=-1, keepdims=True)
+            gs = probs * (gp - inner)
+            if q.requires_grad:
+                gq = np.matmul(gs, k.data) * inv_scale
+            if k.requires_grad:
+                gk = np.matmul(gs.swapaxes(-1, -2), q.data) * inv_scale
         return gq, gk, gv
 
     return _make(out, (q, k, v), backward)
@@ -506,12 +531,14 @@ def softmax_cross_entropy(
 
     m = logits.data.max(axis=1, keepdims=True)
     shifted = logits.data - m
-    lse = m[:, 0] + np.log(np.exp(shifted).sum(axis=1))
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(z[:, 0])
     live_idx = np.nonzero(live)[0]
     nll = lse[live_idx] - logits.data[live_idx, tgt[live_idx]]
     loss_val = nll.sum() / count
 
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = e / z
     grad = np.zeros_like(logits.data)
     grad[live_idx] = probs[live_idx]
     grad[live_idx, tgt[live_idx]] -= 1.0

@@ -88,7 +88,11 @@ class TcpChannel:
     def recv_frame(self, timeout: float | None = None) -> bytes:
         if self._closed:
             raise ChannelClosedError("recv on a closed channel")
-        self._sock.settimeout(timeout)
+        try:
+            # another thread may close the socket after the check above
+            self._sock.settimeout(timeout)
+        except OSError as exc:
+            raise ChannelClosedError(f"socket recv failed: {exc}") from exc
         try:
             header = self._read_exact(HEADER.size, "peer closed the connection")
             _, body_len = parse_header(header)

@@ -6,15 +6,19 @@ out by hand.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsplit.corpus import BatchSampler, make_copy_corpus
 from fedsplit.errors import DegenerateBatchError, GradError, ShapeError
+from fedsplit.model import ModelConfig, PartitionSpec, build_partitioned
 from fedsplit.tensor import (
     Tensor,
+    _sigmoid,
     add,
     apply_rope,
     attend,
@@ -32,6 +36,7 @@ from fedsplit.tensor import (
     softmax_cross_entropy,
     split_heads,
 )
+from fedsplit.training import SequentialTrainer, connect_pair
 
 FD_STEP = 1e-5
 
@@ -158,6 +163,23 @@ def test_silu_values():
     assert out.data[0] == 0.0
     assert abs(out.data[1] - 20.0) < 1e-6
     assert abs(out.data[2]) < 1e-6
+
+
+def _sigmoid_two_branch(v):
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def test_sigmoid_bitwise_matches_two_branch_formula():
+    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 37.0, -37.0, 745.0, -745.0, 1e3, -1e3])
+    rand = np.random.default_rng(11).standard_normal((8, 18, 172)) * 8.0
+    for v in (edge, rand):
+        new, old = _sigmoid(v), _sigmoid_two_branch(v)
+        assert new.tobytes() == old.tobytes()
 
 
 def test_silu_large_inputs_stay_finite():
@@ -392,6 +414,85 @@ def test_cross_entropy_eager_grad_matches_backward():
 
 
 # ---------------------------------------------------------------------------
+# frozen parents get no gradient
+
+
+_CAUSAL_2x3 = np.tril(np.ones((3, 3), dtype=bool))[None].repeat(2, axis=0)
+FROZEN_CASES = {
+    "linear": (linear, [(2, 3, 5), (4, 5)]),
+    "rms_norm": (rms_norm, [(2, 3, 5), (5,)]),
+    "matmul": (matmul, [(3, 4), (4, 2)]),
+    "mul": (mul, [(3, 4), (3, 4)]),
+    "attend": (lambda q, k, v: attend(q, k, v, _CAUSAL_2x3), [(2, 2, 3, 4)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+def test_backward_skips_frozen_parents_and_keeps_other_bits(name):
+    build, shapes = FROZEN_CASES[name]
+    rng = np.random.default_rng(21)
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    n = len(arrays)
+    full = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*full)
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    for mask in range(1, 2**n - 1):
+        ts = [Tensor(a, requires_grad=bool(mask >> i & 1)) for i, a in enumerate(arrays)]
+        out = build(*ts)
+        assert [pg is None for pg in out._backward_fn(g)] == [not t.requires_grad for t in ts]
+        out.backward(g)
+        for t, ref in zip(ts, full):
+            if t.requires_grad:
+                assert t.grad.tobytes() == ref.grad.tobytes()
+            else:
+                assert t.grad is None
+
+
+def test_linear_frozen_weight_input_grad_is_exact():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 5)))
+    g = rng.standard_normal((2, 3, 4))
+    linear(x, w).backward(g)
+    assert w.grad is None
+    assert x.grad.tobytes() == (g @ w.data).tobytes()
+
+
+def test_rms_norm_frozen_gain_input_grad_is_exact():
+    rng = np.random.default_rng(32)
+    xd = rng.standard_normal((2, 3, 5))
+    x = Tensor(xd, requires_grad=True)
+    w = Tensor(rng.standard_normal(5))
+    g = rng.standard_normal((2, 3, 5))
+    rms_norm(x, w, eps=1e-5).backward(g)
+    assert w.grad is None
+    r = np.sqrt(np.mean(xd * xd, axis=-1, keepdims=True) + 1e-5)
+    gwx = g * w.data
+    dot = np.sum(gwx * xd, axis=-1, keepdims=True)
+    expected = gwx / r - xd * (dot / (5 * r * r * r))
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+def test_lora_split_step_leaves_frozen_grads_unset():
+    cfg = ModelConfig(vocab_size=32, hidden_size=16, num_heads=2, num_blocks=4, mlp_hidden=24)
+    front, middle, back = build_partitioned(cfg, PartitionSpec(1, 2, 1), seed=0)
+    client, server, server_channel = connect_pair(front, middle, back, client_id=0, lr=0.1)
+    corpus = make_copy_corpus(8, payload_len=4, vocab_size=cfg.vocab_size, seed=0)
+    sampler = BatchSampler(corpus, 4, seed=100)
+    with SequentialTrainer([client], server, [server_channel]) as trainer:
+        trainer.run(lambda c, r: sampler.batch_for(r), rounds=1)
+    frozen = [
+        (seg.role, name, p)
+        for seg in (front, middle, back)
+        for name, p in seg.named_parameters().items()
+        if not p.requires_grad
+    ]
+    assert {role for role, _, _ in frozen} == {"front", "middle", "back"}
+    assert [(role, name) for role, name, p in frozen if p.grad is not None] == []
+
+
+# ---------------------------------------------------------------------------
 # engine behavior
 
 
@@ -412,6 +513,27 @@ def test_no_grad_blocks_tape():
     with no_grad():
         out = add(t, Tensor(np.ones(2)))
     assert not out.requires_grad
+
+
+def test_no_grad_is_local_to_its_thread():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with no_grad():
+            entered.set()
+            release.wait(timeout=10.0)
+
+    holder = threading.Thread(target=hold_no_grad)
+    holder.start()
+    try:
+        assert entered.wait(timeout=10.0)
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = linear(x, Tensor(np.ones((4, 3))))
+    finally:
+        release.set()
+        holder.join(timeout=10.0)
+    assert not holder.is_alive()
+    assert out.requires_grad
 
 
 def test_grad_accumulates_across_consumers():

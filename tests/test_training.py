@@ -1,5 +1,7 @@
 """The four-hop relay, noise injection, and split-vs-monolithic equivalence."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,20 @@ def test_backward_grad_noise_target_runs():
     with make_session(seed=8, noise=noise) as trainer:
         records = trainer.run(lambda c, r: sampler.batch_for(r), rounds=3)
     assert all(np.isfinite(r.loss) for r in records)
+
+
+def test_tcp_shutdown_raises_nothing_in_server_threads(monkeypatch):
+    captured = []
+    monkeypatch.setattr(threading, "excepthook", captured.append)
+    sampler = sampler_for(seed=4)
+    for _ in range(3):
+        trainer = make_session(seed=4, transport="tcp")
+        trainer.run(lambda c, r: sampler.batch_for(r), rounds=1)
+        for ch in trainer.server_channels:
+            ch.close()
+        trainer.shutdown()
+        assert not any(t.is_alive() for t in trainer._threads)
+    assert [(a.exc_type, a.exc_value) for a in captured] == []
 
 
 def test_tcp_transport_trains_identically():

@@ -131,6 +131,14 @@ def test_tcp_close_mid_stream_raises_channel_closed():
     client.close()
 
 
+def test_tcp_recv_after_socket_closed_raises_channel_closed():
+    sa, sb = tcp_pair()
+    sa._sock.close()
+    with pytest.raises(ChannelClosedError):
+        sa.recv_frame(timeout=1.0)
+    sb.close()
+
+
 def test_tcp_partial_frame_raises_channel_closed():
     sa, sb = tcp_pair()
     msg = GradMsg(np.zeros((2, 2)), step_id=0, client_id=0)
