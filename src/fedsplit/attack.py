@@ -32,17 +32,16 @@ from .model import (
     build_decoder_probe,
     init_parameter_set,
 )
+from .strategies import build_clients
 from .training import (
     IGNORE_INDEX,
     NoiseConfig,
     NoiseSource,
     SequentialTrainer,
-    TrainingClient,
     TrainingServer,
     inject_noise,
     sequence_loss,
 )
-from .transport import LoopbackChannel, MessageChannel
 from .wire import HiddenStateMsg
 
 # ---------------------------------------------------------------------------
@@ -324,21 +323,9 @@ def run_attack(
         decoder = build_attack_decoder(config, attacker.depth, attacker.seed)
         observer = AttackObserver(decoder, malicious_id, attacker.lr)
 
-    clients = []
-    server_channels = []
-    for cid in range(len(corpora)):
-        server_end, client_end = LoopbackChannel.pair()
-        clients.append(
-            TrainingClient(
-                cid,
-                front.clone(),
-                back.clone(),
-                MessageChannel(client_end),
-                lr,
-                NoiseConfig(noise.scale, noise.target, noise.seed + cid) if noise else None,
-            )
-        )
-        server_channels.append(MessageChannel(server_end, record_frames=record_frames))
+    clients, server_channels = build_clients(
+        front, back, len(corpora), lr, noise, record_frames=record_frames
+    )
     server = TrainingServer(middle, lr, observer=observer)
 
     samplers = {

@@ -4,7 +4,8 @@ Every subcommand reads one JSON config file, honors the environment
 overrides (``FEDSPLIT_OUTPUT_DIR`` for the artifact directory,
 ``FEDSPLIT_ENDPOINT`` as ``host:port`` for where TCP channel pairs bind),
 writes its artifacts, and prints a one-line digest. Exit codes: 0 success,
-2 configuration problem, 3 protocol or transport failure, 4 a requested
+2 configuration problem (an unreadable or mismatched ``--adapters`` file
+included), 3 protocol or transport failure, 4 a requested
 post-run check missed its threshold, 130 interrupted (partial records are
 already flushed to disk by then).
 """
@@ -22,6 +23,7 @@ from . import experiment
 from .errors import (
     ChannelClosedError,
     CheckFailure,
+    CheckpointError,
     ConfigError,
     FedSplitError,
     FrameError,
@@ -172,7 +174,9 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (ConfigError, ShapeError, PartitionError, jsonschema.ValidationError) as exc:
+    except (
+        CheckpointError, ConfigError, ShapeError, PartitionError, jsonschema.ValidationError
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -14,6 +14,7 @@ an interrupted run keeps everything completed before the interrupt.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,12 +32,11 @@ from .corpus import (
     make_lm_corpus,
     shard_corpus,
 )
-from .errors import ConfigError, FedSplitError
+from .errors import CheckpointError, ConfigError, FedSplitError
 from .inference import GenerationConfig, InferenceStack
 from .model import LoraConfig, ModelConfig, PartitionSpec, build_partitioned
 from .scoring import score_multi_token, score_single_token
 from .strategies import (
-    ClientBatchServer,
     ClientBatchTrainer,
     HierarchicalTrainer,
     StrategyConfig,
@@ -391,21 +391,6 @@ def build_corpus(section: CorpusSection, model: ModelConfig) -> ToyCorpus:
     return corpus
 
 
-def record_to_json(rec) -> dict:
-    """Serialize a step record, dropping wall-clock fields.
-
-    ``elapsed_ms`` varies run to run, and record files must be a pure
-    function of (config, seed) on loopback, so it never reaches disk.
-    """
-    out = rec.to_json()
-    extra = {k: v for k, v in out.get("extra", {}).items() if k != "elapsed_ms"}
-    if extra:
-        out["extra"] = extra
-    else:
-        out.pop("extra", None)
-    return out
-
-
 class RecordWriter:
     """Appends one validated JSON line per record, flushed immediately.
 
@@ -418,7 +403,7 @@ class RecordWriter:
         self._fh = open(self.path, "w", encoding="utf-8")
 
     def write(self, rec) -> None:
-        doc = record_to_json(rec)
+        doc = rec.to_json()
         validate_artifact(doc, "train_record.schema.json")
         self._fh.write(_canonical(doc) + "\n")
         self._fh.flush()
@@ -486,7 +471,8 @@ def sum_stats(snapshots) -> dict:
 def _run_training(cfg: ExperimentConfig, partition: PartitionSpec, steps: int, sink=None):
     """Train with the configured strategy; returns records, merges, stats, segments.
 
-    ``sink`` (if given) sees each record the moment its step completes.
+    ``sink`` (if given) sees each record as soon as its round completes (its
+    phase, under the hierarchical strategy).
     ``segments`` is (front, middle, back) holding the trained parameters of
     client 0 and the trunk, usable for post-training generation or scoring.
     """
@@ -500,50 +486,28 @@ def _run_training(cfg: ExperimentConfig, partition: PartitionSpec, steps: int, s
     def batch_source(client_id: int, round_index: int):
         return samplers[client_id].batch_for(round_index)
 
-    records = []
-    merge_log = []
-    mode = cfg.strategy.mode
-    if mode in ("sequential", "client_batch"):
+    if cfg.strategy.mode == "server_hierarchical":
+        middle, clients, sub_servers, channels = build_hierarchical_session(
+            cfg.model, partition, cfg.strategy.num_clients, cfg.training.lr,
+            lora=cfg.lora, seed=cfg.seed, noise=cfg.noise, transport=cfg.transport,
+        )
+        trainer = HierarchicalTrainer(middle, clients, sub_servers, channels, cfg.strategy)
+    else:
         clients, middle, channels = build_shared_trunk_session(
             cfg.model, partition, cfg.strategy.num_clients, cfg.training.lr,
             lora=cfg.lora, seed=cfg.seed, noise=cfg.noise, transport=cfg.transport,
         )
-        if mode == "sequential":
-            server = TrainingServer(middle, cfg.training.lr)
+        server = TrainingServer(middle, cfg.training.lr)
+        if cfg.strategy.mode == "sequential":
             trainer = SequentialTrainer(clients, server, channels)
         else:
-            server = ClientBatchServer(middle, cfg.training.lr)
             trainer = ClientBatchTrainer(
                 clients, server, channels, barrier_timeout=cfg.strategy.barrier_timeout
             )
-        with trainer:
-            for r in range(steps):
-                batches = [batch_source(c.client_id, r) for c in trainer.clients]
-                for rec in trainer.run_round(batches, r):
-                    records.append(rec)
-                    if sink is not None:
-                        sink(rec)
-        segments = (clients[0].front, middle, clients[0].back)
-    else:
-        central, clients, sub_servers, channels = build_hierarchical_session(
-            cfg.model, partition, cfg.strategy.num_clients, cfg.training.lr,
-            lora=cfg.lora, seed=cfg.seed, noise=cfg.noise, transport=cfg.transport,
-        )
-        trainer = HierarchicalTrainer(central, clients, sub_servers, channels, cfg.strategy)
-        with trainer:
-            done = 0
-            while done < steps:
-                span = min(cfg.strategy.sync_interval, steps - done)
-                for rec in trainer.run_phase(batch_source, done, span):
-                    records.append(rec)
-                    if sink is not None:
-                        sink(rec)
-                done += span
-                trainer.merge(done)
-        merge_log = list(trainer.merge_log)
-        segments = (clients[0].front, central, clients[0].back)
+    with trainer:
+        records = trainer.run(batch_source, steps, sink=sink)
     stats = sum_stats(ch.stats.snapshot() for ch in channels)
-    return records, merge_log, stats, segments
+    return records, trainer.merge_log, stats, (clients[0].front, middle, clients[0].back)
 
 
 def _round_mean_losses(records) -> list[float]:
@@ -569,10 +533,7 @@ def run_train(cfg: ExperimentConfig, output_dir=None):
     validate_artifact(stats, "comm_stats.schema.json")
     (out / "comm_stats.json").write_text(_canonical(stats) + "\n", encoding="utf-8")
 
-    merged_state = {}
-    for seg in segments:
-        merged_state.update(seg.state_dict())
-    np.savez(out / "adapters.npz", **merged_state)
+    _save_adapters(out / "adapters.npz", segments)
 
     losses = _round_mean_losses(records)
     payload = {
@@ -594,8 +555,24 @@ def run_train(cfg: ExperimentConfig, output_dir=None):
 # generation and evaluation
 
 
+def _save_adapters(path, segments) -> None:
+    """Write every parameter of ``segments`` to one npz file."""
+    state = {}
+    for seg in segments:
+        state.update(seg.state_dict())
+    np.savez(path, **state)
+
+
 def _load_adapters(segments, adapters_path) -> None:
-    state = dict(np.load(adapters_path))
+    """Load each segment's slice of a file written by ``_save_adapters``."""
+    try:
+        with open(adapters_path, "rb") as fh:
+            archive = np.load(fh)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            state = dict(archive)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"cannot read adapters file {adapters_path}: {exc}") from exc
     for seg in segments:
         seg.load_state_dict(state, subset=True)
 

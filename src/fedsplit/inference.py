@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
 )
 from .model import SegmentModel
-from .transport import MessageChannel
+from .transport import MessageChannel, channel_pair, serve_channel
 from .wire import CacheStepMsg, HiddenStateMsg, MaskMeta
 
 _SESSION_IDS = itertools.count(1)
@@ -210,20 +210,6 @@ class InferenceServer:
         with self._lock:
             self._sessions.pop(session_id, None)
 
-    def serve_channel(self, channel: MessageChannel, timeout: float | None = None) -> None:
-        """Request/reply loop until the peer closes the channel."""
-        while True:
-            try:
-                msg = channel.recv(timeout)
-            except ChannelClosedError:
-                return
-            try:
-                reply = self.handle(msg)
-            except Exception:
-                channel.close()
-                raise
-            channel.send(reply)
-
 
 class GenerationSession:
     """Client half of one generation: the front and back segments plus caches."""
@@ -357,21 +343,6 @@ class GenerationSession:
         return GenerationResult(out)
 
 
-def prefill(session: GenerationSession, prompt: Sequence[int]) -> np.ndarray:
-    """Module-level convenience alias for ``GenerationSession.prefill``."""
-    return session.prefill(prompt)
-
-
-def decode_step(session: GenerationSession, last_token: int) -> np.ndarray:
-    """Module-level convenience alias for ``GenerationSession.decode_step``."""
-    return session.decode_step(last_token)
-
-
-def generate(session: GenerationSession, prompt: Sequence[int], cfg: GenerationConfig) -> GenerationResult:
-    """Module-level convenience alias for ``GenerationSession.generate``."""
-    return session.generate(prompt, cfg)
-
-
 class InferenceStack:
     """A wired client session, its server, and the serving thread."""
 
@@ -386,36 +357,26 @@ class InferenceStack:
         server: InferenceServer | None = None,
         record_frames: bool = False,
     ):
-        from .transport import LoopbackChannel, tcp_pair
-
         if server is None:
             if middle is None:
                 raise ConfigError("either a trunk segment or a server is required")
             server = InferenceServer(middle)
-        if transport == "loopback":
-            server_end, client_end = LoopbackChannel.pair()
-        elif transport == "tcp":
-            server_end, client_end = tcp_pair()
-        else:
-            raise ConfigError(f"unknown transport {transport!r}")
         self.server = server
-        self.server_channel = MessageChannel(server_end, record_frames=record_frames)
+        self.server_channel, client_channel = channel_pair(transport, record_frames)
         self.session = GenerationSession(
-            front,
-            back,
-            MessageChannel(client_end, record_frames=record_frames),
-            use_cache=use_cache,
-            session_id=session_id,
+            front, back, client_channel, use_cache=use_cache, session_id=session_id
         )
         self._thread = threading.Thread(
-            target=server.serve_channel, args=(self.server_channel,), daemon=True
+            target=serve_channel, args=(self.server_channel, server.handle), daemon=True
         )
         self._thread.start()
 
     def close(self) -> None:
+        """Close both ends, stop the serving thread and drop the session's caches."""
         self.session.channel.close()
         self.server_channel.close()
         self._thread.join(timeout=5.0)
+        self.server.drop_session(self.session.session_id)
 
     def __enter__(self):
         return self

@@ -16,7 +16,6 @@ the monolithic parameter set.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -618,61 +617,3 @@ def fedavg_merge(
         len(first.blocks),
         trainable_base=first.trainable_base,
     )
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-_CKPT_MAGIC = b"FSCP"
-_CKPT_VERSION = 1
-_U64 = struct.Struct("<Q")
-
-
-def save_checkpoint(path, state: dict[str, np.ndarray]) -> None:
-    """Flat named-parameter file: name, shape, little-endian float64 data."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(bytes([_CKPT_VERSION]))
-        fh.write(_U64.pack(len(state)))
-        for name in sorted(state):
-            arr = np.ascontiguousarray(state[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(_U64.pack(len(encoded)))
-            fh.write(encoded)
-            fh.write(_U64.pack(arr.ndim))
-            for dim in arr.shape:
-                fh.write(_U64.pack(dim))
-            fh.write(arr.tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointError(f"checkpoint truncated at byte {pos}")
-        out = blob[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4) != _CKPT_MAGIC:
-        raise CheckpointError("not a checkpoint file (bad magic)")
-    version = take(1)[0]
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (count,) = _U64.unpack(take(8))
-    state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = _U64.unpack(take(8))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = _U64.unpack(take(8))
-        shape = tuple(_U64.unpack(take(8))[0] for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        raw = take(size * 8)
-        state[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if pos != len(blob):
-        raise CheckpointError(f"trailing bytes after checkpoint payload at byte {pos}")
-    return state

@@ -1,15 +1,19 @@
 """Multi-client scheduling: round-robin, batched concatenation, hierarchy.
 
-Three ways to let several clients share one server trunk:
+Three ways to let several clients share one server trunk. All three are
+schedules over one split relay: the same ``TrainingClient`` four-hop step,
+the same ``TrainingServer`` trunk, and the same ``Trainer`` lifecycle
+(``training.py``), which runs phases of rounds and merges after each phase.
 
 - ``sequential``: one client finishes its whole step before the next starts
-  (the plain training engine drives this).
-- ``client_batch``: every step the server gathers one hidden-state message
-  per client, concatenates them along the batch axis, and runs a single
-  trunk forward and a single trunk backward for the group. Results are
-  sliced back out in client-id order, so arrival order cannot change any
-  number. The trunk's weight gradient is then, by linearity, the sum of the
-  gradients the same clients would have produced solo.
+  (``training.SequentialTrainer``).
+- ``client_batch``: every step the coordinator gathers one hidden-state
+  message per client and hands the group to the server's ``batch_forward``
+  and ``batch_backward``, which run one trunk pass over the client-id-ordered
+  concatenation, so arrival order cannot change any number. The trunk's
+  weight gradient is then, by linearity, the sum of the gradients the same
+  clients would have produced solo. ``ClientBatchServer`` is another name
+  for ``TrainingServer``.
 - ``server_hierarchical``: each client trains against its own trunk replica
   concurrently; every ``sync_interval`` steps the replicas' adapters are
   averaged and redistributed, FedAvg style.
@@ -24,32 +28,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BarrierTimeoutError,
-    BatchIncompatibilityError,
-    ConfigError,
-    ProtocolError,
-)
+from .errors import BarrierTimeoutError, ConfigError, ProtocolError
 from .model import (
     LoraConfig,
     ModelConfig,
     PartitionSpec,
     SegmentModel,
-    apply_sgd_step,
     build_partitioned,
     fedavg_merge,
-    grad_norm,
 )
 from .training import (
     IGNORE_INDEX,
     Batch,
     NoiseConfig,
-    TrainStepRecord,
+    Trainer,
     TrainingClient,
     TrainingServer,
+    TrainStepRecord,
 )
-from .transport import LoopbackChannel, MessageChannel, tcp_pair
-from .wire import GradMsg, HiddenStateMsg
+from .transport import MessageChannel, channel_pair
 
 MODES = ("sequential", "client_batch", "server_hierarchical")
 
@@ -150,118 +147,7 @@ def collect_barrier(channels: dict[int, MessageChannel], timeout: float) -> Barr
 # client-batch concatenation
 
 
-class ClientBatchServer:
-    """Runs the trunk once per step over all clients' concatenated batches."""
-
-    def __init__(self, middle: SegmentModel, lr: float):
-        self.middle = middle
-        self.lr = lr
-        self.last_grad_norm = 0.0
-        self.last_grads: dict[str, np.ndarray] = {}
-        self._pending: dict[int, tuple[int, slice]] | None = None
-
-    def batch_forward(self, msgs: Sequence[HiddenStateMsg]) -> list[HiddenStateMsg]:
-        """One trunk forward over the client-id-ordered concatenation.
-
-        Every message must agree on sequence length (and therefore rotary
-        positions); heterogeneous groups are rejected rather than silently
-        re-padded so each reply slice stays exactly the solo-forward result.
-        """
-        if not msgs:
-            raise ProtocolError("batch forward needs at least one message")
-        if self._pending is not None:
-            raise ProtocolError("batch forward while a step is in flight")
-        ordered = sorted(msgs, key=lambda m: m.client_id)
-        ids = [m.client_id for m in ordered]
-        if len(set(ids)) != len(ids):
-            raise ProtocolError(f"duplicate client ids in batch: {ids}")
-        head = ordered[0]
-        for m in ordered[1:]:
-            if m.payload.shape[1] != head.payload.shape[1]:
-                raise BatchIncompatibilityError(
-                    f"client {m.client_id} has seq_len {m.payload.shape[1]} but "
-                    f"client {head.client_id} has {head.payload.shape[1]}"
-                )
-            if m.payload.shape[2:] != head.payload.shape[2:]:
-                raise BatchIncompatibilityError(
-                    f"client {m.client_id} hidden shape {m.payload.shape[2:]} does not "
-                    f"match {head.payload.shape[2:]}"
-                )
-            if m.positions != head.positions:
-                raise BatchIncompatibilityError("clients disagree on rotary positions")
-        payload = np.concatenate([m.payload for m in ordered], axis=0)
-        pads = tuple(p for m in ordered for p in m.mask_meta.pads)
-        out = self.middle.forward(payload, pad_lens=pads, positions=head.positions)
-        pending: dict[int, tuple[int, slice]] = {}
-        replies = []
-        start = 0
-        for m in ordered:
-            rows = slice(start, start + m.payload.shape[0])
-            start = rows.stop
-            pending[m.client_id] = (m.step_id, rows)
-            replies.append(
-                HiddenStateMsg(
-                    out.data[rows].copy(),
-                    m.mask_meta,
-                    m.positions,
-                    step_id=m.step_id,
-                    client_id=m.client_id,
-                )
-            )
-        self._pending = pending
-        return replies
-
-    def batch_backward(self, grad_msgs: Sequence[GradMsg]) -> list[GradMsg]:
-        """Concatenated trunk backward, SGD step, per-client gradient slices.
-
-        Gradient accumulation is linear over batch rows, so the trunk weight
-        gradient of this single pass equals the sum of the per-client solo
-        gradients; ``last_grads`` keeps a copy for inspection.
-        """
-        if self._pending is None:
-            raise ProtocolError("batch backward before batch forward")
-        ordered = sorted(grad_msgs, key=lambda m: m.client_id)
-        got = [m.client_id for m in ordered]
-        expected = sorted(self._pending)
-        if got != expected:
-            raise BarrierTimeoutError(
-                f"gradient group mismatch: expected clients {expected}, got {got}"
-            )
-        parts = []
-        for m in ordered:
-            step_id, rows = self._pending[m.client_id]
-            if m.step_id != step_id:
-                raise ProtocolError(
-                    f"client {m.client_id} sent a gradient for step {m.step_id}, "
-                    f"expected {step_id}"
-                )
-            if m.payload.shape[0] != rows.stop - rows.start:
-                raise ProtocolError(
-                    f"client {m.client_id} gradient has {m.payload.shape[0]} rows, "
-                    f"expected {rows.stop - rows.start}"
-                )
-            parts.append(m.payload)
-        input_grad = self.middle.backward(np.concatenate(parts, axis=0))
-        grads = self.middle.collect_grads()
-        self.last_grads = {n: g.copy() for n, g in grads.items()}
-        self.last_grad_norm = grad_norm(grads)
-        apply_sgd_step(self.middle.trainable_parameters(), grads, self.lr)
-        replies = []
-        for m in ordered:
-            rows = self._pending[m.client_id][1]
-            replies.append(GradMsg(input_grad[rows].copy(), step_id=m.step_id, client_id=m.client_id))
-        self._pending = None
-        return replies
-
-
-def client_batch_step(server: ClientBatchServer, msgs: Sequence[HiddenStateMsg]) -> list[HiddenStateMsg]:
-    """Forward half of one batched step; see ``ClientBatchServer.batch_forward``."""
-    return server.batch_forward(msgs)
-
-
-def client_batch_backward(server: ClientBatchServer, grad_msgs: Sequence[GradMsg]) -> list[GradMsg]:
-    """Backward half of one batched step; see ``ClientBatchServer.batch_backward``."""
-    return server.batch_backward(grad_msgs)
+ClientBatchServer = TrainingServer
 
 
 def align_batches(batches: Sequence[Batch], pad_id: int = 0) -> list[Batch]:
@@ -291,7 +177,7 @@ def align_batches(batches: Sequence[Batch], pad_id: int = 0) -> list[Batch]:
     return out
 
 
-class ClientBatchTrainer:
+class ClientBatchTrainer(Trainer):
     """Drives M concurrent client steps against one batched trunk.
 
     Client threads run the ordinary four-hop step; the coordinator gathers
@@ -299,27 +185,23 @@ class ClientBatchTrainer:
     trunk pass, and routes each slice back to its owner.
     """
 
+    strategy = "client_batch"
+
     def __init__(
         self,
         clients: Sequence[TrainingClient],
-        server: ClientBatchServer,
+        server: TrainingServer,
         server_channels: Sequence[MessageChannel],
         barrier_timeout: float = 30.0,
     ):
-        if len(clients) != len(server_channels):
-            raise ProtocolError("one server channel per client is required")
-        ids = [c.client_id for c in clients]
-        if len(set(ids)) != len(ids):
-            raise ProtocolError(f"duplicate client ids: {ids}")
-        self.clients = list(clients)
+        super().__init__(clients, server_channels)
         self.server = server
-        self.channels = {c.client_id: ch for c, ch in zip(clients, server_channels)}
+        self.channels = {c.client_id: ch for c, ch in zip(self.clients, self.server_channels)}
         self.barrier_timeout = barrier_timeout
 
     def run_round(self, batches: Sequence[Batch], round_index: int) -> list[TrainStepRecord]:
         if len(batches) != len(self.clients):
             raise ProtocolError(f"expected {len(self.clients)} batches, got {len(batches)}")
-        t0 = time.perf_counter()
         results: list[TrainStepRecord | None] = [None] * len(self.clients)
         failures: list[Exception] = []
 
@@ -352,38 +234,9 @@ class ClientBatchTrainer:
             t.join(timeout=self.barrier_timeout)
         if failures:
             raise failures[0]
-        elapsed = (time.perf_counter() - t0) * 1e3
-        records = []
-        for rec in results:
-            if rec is None:
-                raise ProtocolError("a client thread finished without producing a record")
-            rec.grad_norms["middle"] = self.server.last_grad_norm
-            rec.extra["strategy"] = "client_batch"
-            rec.extra["elapsed_ms"] = elapsed
-            records.append(rec)
-        return records
-
-    def run(
-        self, batch_source: Callable[[int, int], Batch], rounds: int
-    ) -> list[TrainStepRecord]:
-        """``batch_source(client_id, round_index)`` feeds each client-step."""
-        records = []
-        for r in range(rounds):
-            batches = [batch_source(c.client_id, r) for c in self.clients]
-            records.extend(self.run_round(batches, r))
-        return records
-
-    def shutdown(self) -> None:
-        for client in self.clients:
-            client.channel.close()
-        for ch in self.channels.values():
-            ch.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()
+        if any(rec is None for rec in results):
+            raise ProtocolError("a client thread finished without producing a record")
+        return [self._label(rec, self.server) for rec in results]
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +265,10 @@ class MergeRecord:
 class _Pipeline:
     client: TrainingClient
     server: TrainingServer
-    channel: MessageChannel
     weight: float
 
 
-class HierarchicalTrainer:
+class HierarchicalTrainer(Trainer):
     """M isolated client/trunk-replica pipelines with periodic averaging.
 
     Between merges every pipeline is fully independent, so its parameters
@@ -427,6 +279,8 @@ class HierarchicalTrainer:
     whose phase raised is excluded from that and later merges and reported
     in the merge log.
     """
+
+    strategy = "server_hierarchical"
 
     def __init__(
         self,
@@ -439,11 +293,8 @@ class HierarchicalTrainer:
         n = len(clients)
         if n != config.num_clients:
             raise ConfigError(f"strategy expects {config.num_clients} clients, got {n}")
-        if len(sub_servers) != n or len(server_channels) != n:
-            raise ProtocolError("one sub-server and one channel per client are required")
-        ids = [c.client_id for c in clients]
-        if len(set(ids)) != len(ids):
-            raise ProtocolError(f"duplicate client ids: {ids}")
+        if len(sub_servers) != n:
+            raise ProtocolError("one sub-server per client is required")
         reference = central.state_dict()
         for client, server in zip(clients, sub_servers):
             state = server.middle.state_dict()
@@ -457,18 +308,10 @@ class HierarchicalTrainer:
         weights = config.merge_weights or tuple(1.0 for _ in clients)
         self.central = central
         self.config = config
-        self.pipelines = [
-            _Pipeline(c, s, ch, w)
-            for c, s, ch, w in zip(clients, sub_servers, server_channels, weights)
-        ]
+        self.sync_interval = config.sync_interval
+        self.pipelines = [_Pipeline(c, s, w) for c, s, w in zip(clients, sub_servers, weights)]
         self.failed: dict[int, str] = {}
-        self.merge_log: list[MergeRecord] = []
-        self._threads = [
-            threading.Thread(target=p.server.serve_channel, args=(p.channel,), daemon=True)
-            for p in self.pipelines
-        ]
-        for t in self._threads:
-            t.start()
+        super().__init__(clients, server_channels, sub_servers)
 
     def _live(self) -> list[_Pipeline]:
         return [p for p in self.pipelines if p.client.client_id not in self.failed]
@@ -485,17 +328,11 @@ class HierarchicalTrainer:
 
         def drive(pipe: _Pipeline) -> None:
             cid = pipe.client.client_id
-            recs: list[TrainStepRecord] = []
-            collected[cid] = recs
+            recs = collected[cid] = []
             try:
-                for s in range(steps):
-                    step = start_step + s
-                    t0 = time.perf_counter()
+                for step in range(start_step, start_step + steps):
                     rec = pipe.client.train_step(batch_source(cid, step), step=step)
-                    rec.grad_norms["middle"] = pipe.server.last_grad_norm
-                    rec.extra["strategy"] = "server_hierarchical"
-                    rec.extra["elapsed_ms"] = (time.perf_counter() - t0) * 1e3
-                    recs.append(rec)
+                    recs.append(self._label(rec, pipe.server))
             except Exception as exc:
                 errors[cid] = f"{type(exc).__name__}: {exc}"
 
@@ -536,77 +373,36 @@ class HierarchicalTrainer:
         self.merge_log.append(record)
         return record
 
-    def run(
-        self, batch_source: Callable[[int, int], Batch], steps: int
-    ) -> list[TrainStepRecord]:
-        """Alternate sync_interval-long phases with merges for ``steps`` steps."""
-        records = []
-        done = 0
-        while done < steps:
-            span = min(self.config.sync_interval, steps - done)
-            records.extend(self.run_phase(batch_source, done, span))
-            done += span
-            self.merge(done)
-        return records
-
-    def shutdown(self) -> None:
-        for p in self.pipelines:
-            p.client.channel.close()
-            p.channel.close()
-        for t in self._threads:
-            t.join(timeout=5.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown()
-
-
-def run_hierarchical(
-    central: SegmentModel,
-    sub_servers: Sequence[TrainingServer],
-    clients: Sequence[TrainingClient],
-    server_channels: Sequence[MessageChannel],
-    batch_source: Callable[[int, int], Batch],
-    steps: int,
-    sync_interval: int = 10,
-    merge_weights: Sequence[float] | None = None,
-    merge_clients: bool = False,
-) -> tuple[list[TrainStepRecord], list[MergeRecord]]:
-    """One-shot hierarchical session; returns (step records, merge log)."""
-    config = StrategyConfig(
-        mode="server_hierarchical",
-        num_clients=len(clients),
-        sync_interval=sync_interval,
-        merge_weights=tuple(merge_weights) if merge_weights is not None else None,
-        merge_clients=merge_clients,
-    )
-    trainer = HierarchicalTrainer(central, clients, sub_servers, server_channels, config)
-    try:
-        records = trainer.run(batch_source, steps)
-        return records, list(trainer.merge_log)
-    finally:
-        trainer.shutdown()
-
 
 # ---------------------------------------------------------------------------
 # session wiring
 
 
-def _channel_pair(transport: str) -> tuple:
-    if transport == "loopback":
-        return LoopbackChannel.pair()
-    if transport == "tcp":
-        return tcp_pair()
-    raise ConfigError(f"unknown transport {transport!r}")
+def build_clients(
+    front: SegmentModel,
+    back: SegmentModel,
+    num_clients: int,
+    lr: float,
+    noise: NoiseConfig | None = None,
+    transport: str = "loopback",
+    record_frames: bool = False,
+) -> tuple[list[TrainingClient], list[MessageChannel]]:
+    """Clients with private copies of ``front`` and ``back``, one channel each.
 
-
-def _client_noise(noise: NoiseConfig | None, client_id: int) -> NoiseConfig | None:
-    """Give each client its own noise stream while keeping one config knob."""
-    if noise is None:
-        return None
-    return replace(noise, seed=noise.seed + client_id)
+    Every client starts from the same parameters and gets its own noise
+    stream (the configured seed plus its client id). Returns the clients and
+    the server ends of their channels.
+    """
+    clients = []
+    server_channels = []
+    for cid in range(num_clients):
+        server_channel, client_channel = channel_pair(transport, record_frames)
+        client_noise = None if noise is None else replace(noise, seed=noise.seed + cid)
+        clients.append(
+            TrainingClient(cid, front.clone(), back.clone(), client_channel, lr, client_noise)
+        )
+        server_channels.append(server_channel)
+    return clients, server_channels
 
 
 def build_shared_trunk_session(
@@ -624,24 +420,12 @@ def build_shared_trunk_session(
 
     Every client starts from the identical seeded parameter set; the copies
     diverge as the clients train. Used by the sequential and client-batch
-    modes; the caller wraps the returned trunk in the server of its choice.
+    modes; the caller wraps the returned trunk in a ``TrainingServer``.
     """
     front, middle, back = build_partitioned(config, partition, lora, seed)
-    clients = []
-    server_channels = []
-    for cid in range(num_clients):
-        server_end, client_end = _channel_pair(transport)
-        clients.append(
-            TrainingClient(
-                cid,
-                front.clone(),
-                back.clone(),
-                MessageChannel(client_end),
-                lr,
-                _client_noise(noise, cid),
-            )
-        )
-        server_channels.append(MessageChannel(server_end, record_frames=record_frames))
+    clients, server_channels = build_clients(
+        front, back, num_clients, lr, noise, transport, record_frames
+    )
     return clients, middle, server_channels
 
 
@@ -658,21 +442,8 @@ def build_hierarchical_session(
 ) -> tuple[SegmentModel, list[TrainingClient], list[TrainingServer], list[MessageChannel]]:
     """A central trunk plus one fully private pipeline per client."""
     front, central, back = build_partitioned(config, partition, lora, seed)
-    clients = []
-    sub_servers = []
-    server_channels = []
-    for cid in range(num_clients):
-        server_end, client_end = _channel_pair(transport)
-        clients.append(
-            TrainingClient(
-                cid,
-                front.clone(),
-                back.clone(),
-                MessageChannel(client_end),
-                lr,
-                _client_noise(noise, cid),
-            )
-        )
-        sub_servers.append(TrainingServer(central.clone(), lr))
-        server_channels.append(MessageChannel(server_end, record_frames=record_frames))
+    clients, server_channels = build_clients(
+        front, back, num_clients, lr, noise, transport, record_frames
+    )
+    sub_servers = [TrainingServer(central.clone(), lr) for _ in range(num_clients)]
     return central, clients, sub_servers, server_channels

@@ -15,14 +15,13 @@ zero-noise split run is bit-for-bit the monolithic run.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ProtocolError, ShapeError
+from .errors import BarrierTimeoutError, BatchIncompatibilityError, ProtocolError, ShapeError
 from .model import (
     ModelConfig,
     SegmentModel,
@@ -31,7 +30,7 @@ from .model import (
     init_parameter_set,
 )
 from .tensor import Tensor, reshape, softmax_cross_entropy
-from .transport import MessageChannel
+from .transport import MessageChannel, channel_pair, serve_channel
 from .wire import CacheStepMsg, CommStats, GradMsg, HiddenStateMsg, MaskMeta
 
 IGNORE_INDEX = -1
@@ -228,11 +227,20 @@ class TrainingClient:
 
 
 class TrainingServer:
-    """Owns the middle trunk; serves forward/backward for one step at a time.
+    """Owns the middle trunk; runs one trunk pass per step for one or more clients.
+
+    ``batch_forward`` runs the trunk once over the client-id-ordered
+    concatenation of the clients' hidden states and slices each reply back
+    out, so arrival order cannot change any number; ``batch_backward`` does
+    the same for the gradients and then takes one SGD step. Gradient
+    accumulation is linear over batch rows, so the trunk weight gradient of a
+    batched pass is the sum of the clients' solo gradients. ``handle`` is the
+    one-message case the serve loop calls: there concatenation is a copy, so
+    it is exactly a solo step.
 
     ``observer`` (if set) sees every client hidden-state message after the
-    reply has been dispatched, so passive observation cannot reorder or delay
-    protocol traffic.
+    reply has been dispatched (``observe`` is the serve loop's after-reply
+    hook), so passive observation cannot reorder or delay protocol traffic.
     """
 
     def __init__(self, middle: SegmentModel, lr: float, observer=None):
@@ -240,122 +248,200 @@ class TrainingServer:
         self.lr = lr
         self.observer = observer
         self.last_grad_norm = 0.0
-        self._pending: tuple[int, int] | None = None
+        self.last_grads: dict[str, np.ndarray] = {}
+        self._pending: dict[int, tuple[int, slice]] | None = None
         self._lock = threading.Lock()
 
     def handle(self, msg) -> HiddenStateMsg | GradMsg:
+        if isinstance(msg, HiddenStateMsg):
+            return self.batch_forward([msg])[0]
+        if isinstance(msg, GradMsg):
+            return self.batch_backward([msg])[0]
+        if isinstance(msg, CacheStepMsg):
+            raise ProtocolError("cache-step message sent to a training server")
+        raise ProtocolError(f"unexpected message type {type(msg).__name__}")
+
+    def observe(self, msg) -> None:
+        if self.observer is not None and isinstance(msg, HiddenStateMsg):
+            self.observer.observe(msg)
+
+    def batch_forward(self, msgs: Sequence[HiddenStateMsg]) -> list[HiddenStateMsg]:
+        """One trunk forward over the client-id-ordered concatenation.
+
+        Every message must agree on sequence length (and therefore rotary
+        positions); heterogeneous groups are rejected rather than silently
+        re-padded so each reply slice stays exactly the solo-forward result.
+        """
         with self._lock:
-            if isinstance(msg, HiddenStateMsg):
-                return self._handle_forward(msg)
-            if isinstance(msg, GradMsg):
-                return self._handle_backward(msg)
-            if isinstance(msg, CacheStepMsg):
-                raise ProtocolError("cache-step message sent to a training server")
-            raise ProtocolError(f"unexpected message type {type(msg).__name__}")
+            if not msgs:
+                raise ProtocolError("batch forward needs at least one message")
+            if self._pending is not None:
+                raise ProtocolError(f"forward while steps {self._pending} are in flight")
+            ordered = sorted(msgs, key=lambda m: m.client_id)
+            ids = [m.client_id for m in ordered]
+            if len(set(ids)) != len(ids):
+                raise ProtocolError(f"duplicate client ids in batch: {ids}")
+            head = ordered[0]
+            for m in ordered[1:]:
+                if m.payload.shape[1] != head.payload.shape[1]:
+                    raise BatchIncompatibilityError(
+                        f"client {m.client_id} has seq_len {m.payload.shape[1]} but "
+                        f"client {head.client_id} has {head.payload.shape[1]}"
+                    )
+                if m.payload.shape[2:] != head.payload.shape[2:]:
+                    raise BatchIncompatibilityError(
+                        f"client {m.client_id} hidden shape {m.payload.shape[2:]} does not "
+                        f"match {head.payload.shape[2:]}"
+                    )
+                if m.positions != head.positions:
+                    raise BatchIncompatibilityError("clients disagree on rotary positions")
+            payload = np.concatenate([m.payload for m in ordered], axis=0)
+            pads = tuple(p for m in ordered for p in m.mask_meta.pads)
+            out = self.middle.forward(payload, pad_lens=pads, positions=head.positions)
+            pending: dict[int, tuple[int, slice]] = {}
+            replies = []
+            start = 0
+            for m in ordered:
+                rows = slice(start, start + m.payload.shape[0])
+                start = rows.stop
+                pending[m.client_id] = (m.step_id, rows)
+                replies.append(
+                    HiddenStateMsg(
+                        out.data[rows],
+                        m.mask_meta,
+                        m.positions,
+                        step_id=m.step_id,
+                        client_id=m.client_id,
+                    )
+                )
+            self._pending = pending
+            return replies
 
-    def _handle_forward(self, msg: HiddenStateMsg) -> HiddenStateMsg:
-        if self._pending is not None:
-            raise ProtocolError(
-                f"forward for ({msg.client_id}, {msg.step_id}) while step {self._pending} is in flight"
-            )
-        out = self.middle.forward(
-            msg.payload, pad_lens=msg.mask_meta.pads, positions=msg.positions
-        )
-        self._pending = (msg.client_id, msg.step_id)
-        return HiddenStateMsg(
-            out.data, msg.mask_meta, msg.positions, step_id=msg.step_id, client_id=msg.client_id
-        )
-
-    def _handle_backward(self, msg: GradMsg) -> GradMsg:
-        if self._pending != (msg.client_id, msg.step_id):
-            raise ProtocolError(
-                f"gradient for unknown step ({msg.client_id}, {msg.step_id}); "
-                f"in flight: {self._pending}"
-            )
-        input_grad = self.middle.backward(msg.payload)
-        grads = self.middle.collect_grads()
-        self.last_grad_norm = grad_norm(grads)
-        apply_sgd_step(self.middle.trainable_parameters(), grads, self.lr)
-        self._pending = None
-        return GradMsg(input_grad, step_id=msg.step_id, client_id=msg.client_id)
-
-    def serve_channel(self, channel: MessageChannel, timeout: float | None = None) -> None:
-        """Request/reply loop until the peer closes the channel."""
-        from .errors import ChannelClosedError
-
-        while True:
-            try:
-                msg = channel.recv(timeout)
-            except ChannelClosedError:
-                return
-            try:
-                reply = self.handle(msg)
-            except Exception:
-                channel.close()
-                raise
-            channel.send(reply)
-            if self.observer is not None and isinstance(msg, HiddenStateMsg):
-                self.observer.observe(msg)
+    def batch_backward(self, grad_msgs: Sequence[GradMsg]) -> list[GradMsg]:
+        """Concatenated trunk backward, SGD step, per-client gradient slices."""
+        with self._lock:
+            if self._pending is None:
+                raise ProtocolError("gradient before any forward is in flight")
+            ordered = sorted(grad_msgs, key=lambda m: m.client_id)
+            got = [m.client_id for m in ordered]
+            expected = sorted(self._pending)
+            if got != expected:
+                raise BarrierTimeoutError(
+                    f"gradient group mismatch: expected clients {expected}, got {got}"
+                )
+            parts = []
+            for m in ordered:
+                step_id, rows = self._pending[m.client_id]
+                if m.step_id != step_id:
+                    raise ProtocolError(
+                        f"client {m.client_id} sent a gradient for step {m.step_id}, "
+                        f"expected {step_id}"
+                    )
+                if m.payload.shape[0] != rows.stop - rows.start:
+                    raise ProtocolError(
+                        f"client {m.client_id} gradient has {m.payload.shape[0]} rows, "
+                        f"expected {rows.stop - rows.start}"
+                    )
+                parts.append(m.payload)
+            input_grad = self.middle.backward(np.concatenate(parts, axis=0))
+            grads = self.middle.collect_grads()
+            self.last_grads = grads
+            self.last_grad_norm = grad_norm(grads)
+            apply_sgd_step(self.middle.trainable_parameters(), grads, self.lr)
+            replies = []
+            for m in ordered:
+                rows = self._pending[m.client_id][1]
+                replies.append(GradMsg(input_grad[rows], step_id=m.step_id, client_id=m.client_id))
+            self._pending = None
+            return replies
 
 
 # ---------------------------------------------------------------------------
-# sequential orchestration
+# orchestration
 
 
-class SequentialTrainer:
-    """Round-robin scheduling: one client completes its full step at a time.
+class Trainer:
+    """The lifecycle every scheduling strategy shares.
 
-    The server is driven by one thread per client channel; because the
-    orchestrator serializes the clients, at most one thread is active at any
-    moment and the schedule is deterministic.
+    A trainer owns the clients and the server ends of their channels: it
+    checks them, starts one serving thread per channel for the servers it is
+    given (a trainer that routes trunk traffic itself passes none), and
+    closes everything on ``shutdown``. ``run`` alternates phases of
+    ``sync_interval`` rounds with ``merge``; a subclass supplies
+    ``run_round`` (or ``run_phase``) and, if its trunks diverge, ``merge``.
     """
+
+    strategy = ""
+    sync_interval = 1
 
     def __init__(
         self,
         clients: Sequence[TrainingClient],
-        server: TrainingServer,
         server_channels: Sequence[MessageChannel],
+        servers: Sequence[TrainingServer] = (),
     ):
         if len(clients) != len(server_channels):
             raise ProtocolError("one server channel per client is required")
+        ids = [c.client_id for c in clients]
+        if len(set(ids)) != len(ids):
+            raise ProtocolError(f"duplicate client ids: {ids}")
         self.clients = list(clients)
-        self.server = server
         self.server_channels = list(server_channels)
+        self.merge_log: list = []
         self._threads = [
-            threading.Thread(target=server.serve_channel, args=(ch,), daemon=True)
-            for ch in server_channels
+            threading.Thread(
+                target=serve_channel, args=(ch, server.handle, server.observe), daemon=True
+            )
+            for server, ch in zip(servers, server_channels)
         ]
         for t in self._threads:
             t.start()
 
-    def run_round(self, batches: Sequence[Batch], round_index: int) -> list[TrainStepRecord]:
-        if len(batches) != len(self.clients):
-            raise ProtocolError(f"expected {len(self.clients)} batches, got {len(batches)}")
+    def _label(self, rec: TrainStepRecord, server: TrainingServer) -> TrainStepRecord:
+        rec.grad_norms["middle"] = server.last_grad_norm
+        rec.extra["strategy"] = self.strategy
+        return rec
+
+    def run_phase(
+        self, batch_source: Callable[[int, int], Batch], start_step: int, steps: int
+    ) -> list[TrainStepRecord]:
+        """``steps`` rounds from ``start_step``, one batch per client each."""
         records = []
-        for client, batch in zip(self.clients, batches):
-            t0 = time.perf_counter()
-            rec = client.train_step(batch, step=round_index)
-            rec.grad_norms["middle"] = self.server.last_grad_norm
-            rec.extra["strategy"] = "sequential"
-            rec.extra["elapsed_ms"] = (time.perf_counter() - t0) * 1e3
-            records.append(rec)
+        for r in range(start_step, start_step + steps):
+            batches = [batch_source(c.client_id, r) for c in self.clients]
+            records.extend(self.run_round(batches, r))
         return records
+
+    def merge(self, at_step: int) -> None:
+        """Synchronization point after each phase; one shared trunk needs none."""
 
     def run(
         self,
         batch_source: Callable[[int, int], Batch],
         rounds: int,
+        sink: Callable[[TrainStepRecord], None] | None = None,
     ) -> list[TrainStepRecord]:
-        """``batch_source(client_id, round_index)`` feeds each client-step."""
+        """``batch_source(client_id, round_index)`` feeds each client-step.
+
+        ``sink`` (if given) sees each record as soon as its phase completes.
+        """
         records = []
-        for r in range(rounds):
-            batches = [batch_source(c.client_id, r) for c in self.clients]
-            records.extend(self.run_round(batches, r))
+        done = 0
+        while done < rounds:
+            steps = min(self.sync_interval, rounds - done)
+            for rec in self.run_phase(batch_source, done, steps):
+                records.append(rec)
+                if sink is not None:
+                    sink(rec)
+            done += steps
+            self.merge(done)
         return records
 
     def shutdown(self) -> None:
         for client in self.clients:
             client.channel.close()
+        for ch in self.server_channels:
+            ch.close()
         for t in self._threads:
             t.join(timeout=5.0)
 
@@ -366,19 +452,32 @@ class SequentialTrainer:
         self.shutdown()
 
 
-def run_sequential_round(
-    clients: Sequence[TrainingClient],
-    server: TrainingServer,
-    server_channels: Sequence[MessageChannel],
-    batches: Sequence[Batch],
-    round_index: int = 0,
-) -> list[TrainStepRecord]:
-    """One round-robin pass over the clients (convenience wrapper)."""
-    trainer = SequentialTrainer(clients, server, server_channels)
-    try:
-        return trainer.run_round(batches, round_index)
-    finally:
-        trainer.shutdown()
+class SequentialTrainer(Trainer):
+    """Round-robin scheduling: one client completes its full step at a time.
+
+    The server is driven by one thread per client channel; because the
+    orchestrator serializes the clients, at most one thread is active at any
+    moment and the schedule is deterministic.
+    """
+
+    strategy = "sequential"
+
+    def __init__(
+        self,
+        clients: Sequence[TrainingClient],
+        server: TrainingServer,
+        server_channels: Sequence[MessageChannel],
+    ):
+        self.server = server
+        super().__init__(clients, server_channels, [server] * len(server_channels))
+
+    def run_round(self, batches: Sequence[Batch], round_index: int) -> list[TrainStepRecord]:
+        if len(batches) != len(self.clients):
+            raise ProtocolError(f"expected {len(self.clients)} batches, got {len(batches)}")
+        return [
+            self._label(client.train_step(batch, step=round_index), self.server)
+            for client, batch in zip(self.clients, batches)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +589,7 @@ def connect_pair(
     server: TrainingServer | None = None,
 ) -> tuple[TrainingClient, TrainingServer, MessageChannel]:
     """Wire one client and (optionally shared) server over a fresh channel."""
-    from .transport import LoopbackChannel, tcp_pair
-
-    if transport == "loopback":
-        server_end, client_end = LoopbackChannel.pair()
-    elif transport == "tcp":
-        server_end, client_end = tcp_pair()
-    else:
-        raise ShapeError(f"unknown transport {transport!r}")
-    server_channel = MessageChannel(server_end)
-    client_channel = MessageChannel(client_end)
+    server_channel, client_channel = channel_pair(transport)
     if server is None:
         server = TrainingServer(middle, lr)
     client = TrainingClient(client_id, front, back, client_channel, lr, noise)

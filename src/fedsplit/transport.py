@@ -2,7 +2,9 @@
 
 Both move the exact bytes produced by the wire codec, so a conversation is
 byte-identical whichever transport carries it. ``MessageChannel`` layers
-encode/decode and traffic accounting on top of either.
+encode/decode and traffic accounting on top of either; ``channel_pair``
+builds a connected pair of them and ``serve_channel`` is the one
+request/reply loop every server runs on its end.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import queue
 import socket
 import threading
+from typing import Callable
 
-from .errors import ChannelClosedError, ProtocolError
+from .errors import ChannelClosedError, ConfigError, ProtocolError
 from .wire import HEADER, CommStats, Message, decode_message, encode_message, parse_header
 
 _CLOSE = object()
@@ -219,3 +222,48 @@ class MessageChannel:
 
     def close(self) -> None:
         self._frames.close()
+
+
+def channel_pair(kind: str, record_frames: bool = False) -> tuple[MessageChannel, MessageChannel]:
+    """A connected (server-side, client-side) message channel pair.
+
+    ``kind`` is ``"loopback"`` or ``"tcp"``; ``record_frames`` keeps the raw
+    frames both ends send and receive.
+    """
+    if kind == "loopback":
+        server_end, client_end = LoopbackChannel.pair()
+    elif kind == "tcp":
+        server_end, client_end = tcp_pair()
+    else:
+        raise ConfigError(f"unknown transport {kind!r}")
+    return (
+        MessageChannel(server_end, record_frames=record_frames),
+        MessageChannel(client_end, record_frames=record_frames),
+    )
+
+
+def serve_channel(
+    channel: MessageChannel,
+    handle: Callable[[Message], Message],
+    after_reply: Callable[[Message], None] | None = None,
+) -> None:
+    """Answer each request with ``handle(request)`` until the peer closes.
+
+    ``after_reply`` (if given) sees each request once its reply has been
+    sent, so work it does cannot delay or reorder protocol traffic. A
+    handler error closes the channel, so the peer sees it closed, and
+    propagates.
+    """
+    while True:
+        try:
+            msg = channel.recv()
+        except ChannelClosedError:
+            return
+        try:
+            reply = handle(msg)
+        except Exception:
+            channel.close()
+            raise
+        channel.send(reply)
+        if after_reply is not None:
+            after_reply(msg)

@@ -93,6 +93,24 @@ def test_generate_prompt_override(tmp_path, capsys):
     assert "generate:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_unreadable_adapters_file_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, generation={"prompt": [1, 2], "max_new_tokens": 2},
+                       evaluation={"mode": "generative", "max_items": 1})
+    assert cli.main(["train", "-c", str(cfg), "--output-dir", str(tmp_path / "t")]) == 0
+    blob = (tmp_path / "t" / "adapters.npz").read_bytes()
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(blob[: len(blob) // 2])
+    garbage = tmp_path / "garbage.npz"
+    garbage.write_bytes(b"not an npz file at all")
+    capsys.readouterr()
+    for bad in (truncated, garbage):
+        rc = cli.main([command, "-c", str(cfg), "--output-dir", str(tmp_path / "o"),
+                       "--adapters", str(bad)])
+        assert rc == 2
+        assert "adapters file" in capsys.readouterr().err
+
+
 def test_generate_rejects_non_integer_prompt(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["generate", "-c", str(cfg), "--output-dir", str(tmp_path / "g"),

@@ -16,7 +16,6 @@ from fedsplit.inference import (
     InferenceServer,
     InferenceStack,
     KVCache,
-    generate,
 )
 from fedsplit.model import (
     ModelConfig,
@@ -189,7 +188,7 @@ def test_greedy_generation_is_deterministic():
     runs = []
     for _ in range(2):
         with build_stack(seed=2) as stack:
-            runs.append(generate(stack.session, prompt, cfg).tokens)
+            runs.append(stack.session.generate(prompt, cfg).tokens)
     assert runs[0] == runs[1]
 
 
@@ -274,6 +273,24 @@ def test_server_rejects_desynced_and_unknown_sessions():
     server.drop_session(9)
     with pytest.raises(ProtocolError):
         server.session_length(9)
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_closing_a_stack_drops_its_server_session(transport, use_cache):
+    front, middle, back = build_partitioned(CFG, PART, seed=0)
+    server = InferenceServer(middle)
+    ids = []
+    for _ in range(3):
+        with InferenceStack(front, None, back, transport=transport, use_cache=use_cache,
+                            server=server) as stack:
+            manual_greedy(stack.session, [3, 1, 4], 2)
+            sid = stack.session.session_id
+            assert server.session_length(sid) == 5
+        ids.append(sid)
+        with pytest.raises(ProtocolError, match="unknown session"):
+            server.session_length(sid)
+    assert len(set(ids)) == 3
 
 
 def test_server_rejects_oversized_prefill_and_foreign_messages():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedsplit.errors import CheckpointError, PartitionError, ProtocolError
+from fedsplit.experiment import _load_adapters, _save_adapters
 from fedsplit.model import (
     LoraConfig,
     ModelConfig,
@@ -15,8 +16,6 @@ from fedsplit.model import (
     fedavg_merge,
     grad_norm,
     init_parameter_set,
-    load_checkpoint,
-    save_checkpoint,
 )
 from fedsplit.tensor import no_grad, reshape, softmax_cross_entropy
 
@@ -229,23 +228,29 @@ def test_fedavg_rejects_bad_weights():
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):
-    mono = build_monolithic(CFG, seed=21)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, mono.state_dict())
-    loaded = load_checkpoint(path)
-    assert set(loaded) == set(mono.state_dict())
-    for name, arr in mono.state_dict().items():
-        np.testing.assert_array_equal(loaded[name], arr)
+    trained = build_partitioned(CFG, PartitionSpec(1, 3, 2), seed=21)
+    for i, seg in enumerate(trained):
+        for j, p in enumerate(seg.lora_parameters().values()):
+            p.data = np.random.default_rng(100 * i + j).standard_normal(p.data.shape)
+    path = tmp_path / "adapters.npz"
+    _save_adapters(path, trained)
+    fresh = build_partitioned(CFG, PartitionSpec(1, 3, 2), seed=99)
+    _load_adapters(fresh, path)
+    for want, got in zip(trained, fresh):
+        assert set(got.state_dict()) == set(want.state_dict())
+        for name, arr in want.state_dict().items():
+            np.testing.assert_array_equal(got.state_dict()[name], arr)
+    again = tmp_path / "again.npz"
+    _save_adapters(again, fresh)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_segments_load_monolithic_checkpoint(tmp_path):
     mono = build_monolithic(CFG, seed=22)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, mono.state_dict())
-    full_state = load_checkpoint(path)
+    path = tmp_path / "adapters.npz"
+    _save_adapters(path, [mono])
     front, middle, back = build_partitioned(CFG, PartitionSpec(1, 3, 2), seed=99)
-    for seg in (front, middle, back):
-        seg.load_state_dict(full_state, subset=True)
+    _load_adapters((front, middle, back), path)
     tokens = sample_tokens(np.random.default_rng(2), 1, 7, CFG.vocab_size)
     with no_grad():
         want = mono.forward(tokens).data
@@ -255,18 +260,31 @@ def test_segments_load_monolithic_checkpoint(tmp_path):
 
 def test_checkpoint_rejects_corruption(tmp_path):
     mono = build_monolithic(CFG, seed=23)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, mono.state_dict())
+    path = tmp_path / "adapters.npz"
+    _save_adapters(path, [mono])
+    segments = build_partitioned(CFG, PartitionSpec(1, 3, 2), seed=99)
     blob = bytearray(path.read_bytes())
     blob[0] = ord("X")
-    bad = tmp_path / "bad.ckpt"
+    bad = tmp_path / "bad.npz"
     bad.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
-        load_checkpoint(bad)
-    truncated = tmp_path / "short.ckpt"
+        _load_adapters(segments, bad)
+    truncated = tmp_path / "short.npz"
     truncated.write_bytes(path.read_bytes()[:50])
     with pytest.raises(CheckpointError):
-        load_checkpoint(truncated)
+        _load_adapters(segments, truncated)
+    flipped = bytearray(path.read_bytes())
+    flipped[len(flipped) // 2] ^= 0xFF
+    damaged = tmp_path / "damaged.npz"
+    damaged.write_bytes(bytes(flipped))
+    with pytest.raises(CheckpointError):
+        _load_adapters(segments, damaged)
+    with pytest.raises(CheckpointError):
+        _load_adapters(segments, tmp_path / "missing.npz")
+    plain = tmp_path / "plain.npy"
+    np.save(plain, np.zeros(3))
+    with pytest.raises(CheckpointError):
+        _load_adapters(segments, plain)
 
 
 def test_load_state_dict_rejects_shape_mismatch():

@@ -22,10 +22,7 @@ from fedsplit.strategies import (
     align_batches,
     build_hierarchical_session,
     build_shared_trunk_session,
-    client_batch_backward,
-    client_batch_step,
     collect_barrier,
-    run_hierarchical,
 )
 from fedsplit.training import (
     Batch,
@@ -147,7 +144,7 @@ def test_collect_barrier_is_arrival_order_independent():
 def test_batch_forward_slices_match_solo_forwards(num_clients):
     msgs = hidden_msgs(num_clients, seed=num_clients)
     server = ClientBatchServer(fresh_middle(), lr=0.1)
-    replies = client_batch_step(server, msgs)
+    replies = server.batch_forward(msgs)
     assert [r.client_id for r in replies] == list(range(num_clients))
     for msg, reply in zip(msgs, replies):
         solo = fresh_middle().forward(
@@ -160,7 +157,7 @@ def test_batch_forward_slices_match_solo_forwards(num_clients):
 def test_batch_forward_single_client_degenerates_to_sequential():
     msg = hidden_msgs(1)[0]
     batch_server = ClientBatchServer(fresh_middle(), lr=0.1)
-    reply = client_batch_step(batch_server, [msg])[0]
+    reply = batch_server.batch_forward([msg])[0]
     solo_server = TrainingServer(fresh_middle(), lr=0.1)
     solo_reply = solo_server.handle(msg)
     np.testing.assert_array_equal(reply.payload, solo_reply.payload)
@@ -224,7 +221,7 @@ def test_batch_backward_grads_are_sum_of_solo_grads(num_clients):
     ]
     server = ClientBatchServer(fresh_middle(), lr=0.1)
     server.batch_forward(msgs)
-    replies = client_batch_backward(server, grads)
+    replies = server.batch_backward(grads)
 
     summed = {}
     for msg, grad, reply in zip(msgs, grads, replies):
@@ -386,7 +383,7 @@ def test_hierarchical_single_pipeline_matches_sequential():
     sampler = sampler_for(seed=11)
     cfg = StrategyConfig(mode="server_hierarchical", num_clients=1, sync_interval=3)
     with HierarchicalTrainer(central, clients, subs, channels, cfg) as trainer:
-        records = trainer.run(lambda cid, s: sampler.batch_for(s), steps=6)
+        records = trainer.run(lambda cid, s: sampler.batch_for(s), 6)
 
     seq_clients, middle, seq_channels = build_shared_trunk_session(
         CFG, PART, num_clients=1, lr=0.1, seed=11
@@ -515,7 +512,7 @@ def test_hierarchical_failed_pipeline_is_excluded_and_reported():
 
     cfg = StrategyConfig(mode="server_hierarchical", num_clients=2, sync_interval=2)
     with HierarchicalTrainer(central, clients, subs, channels, cfg) as trainer:
-        records = trainer.run(source, steps=4)
+        records = trainer.run(source, 4)
         log = trainer.merge_log
     assert log[0].merged_clients == (0, 1) and log[0].excluded_clients == ()
     assert log[1].merged_clients == (0,) and log[1].excluded_clients == (1,)
@@ -537,18 +534,13 @@ def test_hierarchical_rejects_sub_server_not_at_central_params():
         c.channel.close()
 
 
-def test_run_hierarchical_wrapper_returns_records_and_merges():
+def test_hierarchical_run_returns_records_and_merges():
     central, clients, subs, channels = hierarchical_session(2, seed=29)
     samplers = {cid: sampler_for(seed=80 + cid) for cid in range(2)}
-    records, merges = run_hierarchical(
-        central,
-        subs,
-        clients,
-        channels,
-        lambda cid, s: samplers[cid].batch_for(s),
-        steps=6,
-        sync_interval=3,
-    )
+    cfg = StrategyConfig(mode="server_hierarchical", num_clients=2, sync_interval=3)
+    with HierarchicalTrainer(central, clients, subs, channels, cfg) as trainer:
+        records = trainer.run(lambda cid, s: samplers[cid].batch_for(s), 6)
+    merges = trainer.merge_log
     assert len(records) == 12
     assert [m.step for m in merges] == [3, 6]
     assert all(r.extra["strategy"] == "server_hierarchical" for r in records)
