@@ -2,10 +2,13 @@
 
 A generation session prefills once (one full-prompt hidden-state exchange)
 and then ships exactly one token's hidden state per decode step in each
-direction, while both sides extend block-local key/value caches. Turning the
-cache off makes every step recompute the whole prefix, which reproduces the
-same tokens at a per-step cost that grows with context length; the cached
-and uncached paths exist side by side so that equivalence is checkable.
+direction, while both sides extend block-local key/value caches. A cache
+entry writes each step in place into buffers that double when full, so a
+decode step copies no history except at the O(log context) growth points.
+Turning the cache off makes every step recompute the whole prefix, which
+reproduces the same tokens at a per-step cost that grows with context length;
+the cached and uncached paths exist side by side so that equivalence is
+checkable.
 """
 
 from __future__ import annotations
@@ -33,32 +36,49 @@ _SESSION_IDS = itertools.count(1)
 
 
 class _CacheEntry:
-    """Append-only post-rotary key/value history for one block."""
+    """Append-only post-rotary key/value history for one block.
 
-    __slots__ = ("k", "v")
+    Keys and values live in buffers with spare room on the position axis.
+    An append writes in place just past the filled length and returns views
+    of the filled prefix; a full buffer doubles, so a session of n positions
+    copies its history O(log n) times rather than once per token. A view
+    once returned is never written again: later appends only touch slots
+    beyond it.
+    """
+
+    __slots__ = ("_k", "_v", "length")
 
     def __init__(self):
-        self.k: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-
-    @property
-    def length(self) -> int:
-        return 0 if self.k is None else self.k.shape[2]
+        self._k: np.ndarray | None = None
+        self._v: np.ndarray | None = None
+        self.length = 0
 
     def append(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if k_new.shape != v_new.shape:
             raise ShapeError(f"key shape {k_new.shape} != value shape {v_new.shape}")
-        if self.k is None:
-            self.k = k_new.copy()
-            self.v = v_new.copy()
+        start, end = self.length, self.length + k_new.shape[2]
+        if self._k is None:
+            self._k = np.empty(k_new.shape)
+            self._v = np.empty(v_new.shape)
         else:
-            if k_new.shape[:2] != self.k.shape[:2] or k_new.shape[3] != self.k.shape[3]:
+            if k_new.shape[:2] != self._k.shape[:2] or k_new.shape[3] != self._k.shape[3]:
                 raise ShapeError(
-                    f"cache append shape {k_new.shape} does not extend {self.k.shape}"
+                    f"cache append shape {k_new.shape} does not extend "
+                    f"{self._k.shape[:2] + (start,) + self._k.shape[3:]}"
                 )
-            self.k = np.concatenate([self.k, k_new], axis=2)
-            self.v = np.concatenate([self.v, v_new], axis=2)
-        return self.k, self.v
+            if end > self._k.shape[2]:
+                self._k = self._grown(self._k, end)
+                self._v = self._grown(self._v, end)
+        self._k[:, :, start:end] = k_new
+        self._v[:, :, start:end] = v_new
+        self.length = end
+        return self._k[:, :, :end], self._v[:, :, :end]
+
+    def _grown(self, buf: np.ndarray, needed: int) -> np.ndarray:
+        b, h, capacity, d = buf.shape
+        out = np.empty((b, h, max(2 * capacity, needed), d))
+        out[:, :, : self.length] = buf[:, :, : self.length]
+        return out
 
 
 class KVCache:

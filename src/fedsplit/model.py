@@ -217,25 +217,25 @@ class Block:
     def forward(
         self,
         x: Tensor,
-        pad_lens: Sequence[int] | int,
         positions: Sequence[int],
+        allowed: np.ndarray,
+        rope: tuple[np.ndarray, np.ndarray],
         cache=None,
     ) -> Tensor:
+        """``allowed`` masks the cached history plus this pass's keys and
+        ``rope`` holds the rotary tables at ``positions``; the segment builds
+        both once per pass for all of its blocks."""
         cfg = self.config
         xn = T.rms_norm(x, self.attn_norm, cfg.rms_eps)
         q = T.split_heads(self.query(xn), cfg.num_heads)
         k = T.split_heads(self.key(xn), cfg.num_heads)
         v = T.split_heads(self.value(xn), cfg.num_heads)
-        qr = T.apply_rope(q, positions, cfg.rope_base)
-        kr = T.apply_rope(k, positions, cfg.rope_base)
-        batch = x.data.shape[0]
+        qr = T.apply_rope(q, positions, cfg.rope_base, tables=rope)
+        kr = T.apply_rope(k, positions, cfg.rope_base, tables=rope)
         if cache is None:
-            key_len = k.data.shape[2]
-            allowed = _history_mask(batch, key_len, pad_lens, positions)
             ctx = T.attend(qr, kr, v, allowed)
         else:
             k_full, v_full = cache.append(kr.data, v.data)
-            allowed = _history_mask(batch, k_full.shape[2], pad_lens, positions)
             ctx = T.attend(qr, Tensor(k_full), Tensor(v_full), allowed)
         h = T.add(x, self.out(T.merge_heads(ctx)))
         hn = T.rms_norm(h, self.mlp_norm, cfg.rms_eps)
@@ -355,8 +355,14 @@ class SegmentModel:
             raise ShapeError(f"got {len(positions)} positions for sequence length {seq_len}")
 
         entries = self._cache_entries(cache)
-        for block, entry in zip(self.blocks, entries):
-            x = block.forward(x, pad_lens, positions, entry)
+        if self.blocks:
+            past = 0 if cache is None else cache.length
+            allowed = _history_mask(x.data.shape[0], past + seq_len, pad_lens, positions)
+            rope = T.rope_angles(
+                np.asarray(positions, dtype=np.int64), self.config.head_dim, self.config.rope_base
+            )
+            for block, entry in zip(self.blocks, entries):
+                x = block.forward(x, positions, allowed, rope, entry)
         if self.role in ("back", "full"):
             x = T.rms_norm(x, self.final_norm, self.config.rms_eps)
             x = T.linear(x, self.head)

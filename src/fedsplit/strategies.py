@@ -322,27 +322,51 @@ class HierarchicalTrainer(Trainer):
         start_step: int,
         steps: int,
     ) -> list[TrainStepRecord]:
-        """Run every live pipeline for ``steps`` local steps, concurrently."""
-        collected: dict[int, list[TrainStepRecord]] = {}
+        """Run every live pipeline for ``steps`` local steps, concurrently.
+
+        A pipeline that completes no step for ``barrier_timeout`` seconds is
+        abandoned: it is recorded as failed, and whatever its thread does
+        later is ignored.
+        """
+        live = self._live()
+        collected: dict[int, list[TrainStepRecord]] = {p.client.client_id: [] for p in live}
+        last_progress = {cid: time.monotonic() for cid in collected}
         errors: dict[int, str] = {}
+        lock = threading.Lock()
 
         def drive(pipe: _Pipeline) -> None:
             cid = pipe.client.client_id
-            recs = collected[cid] = []
             try:
                 for step in range(start_step, start_step + steps):
                     rec = pipe.client.train_step(batch_source(cid, step), step=step)
-                    recs.append(self._label(rec, pipe.server))
+                    with lock:
+                        if cid in errors:
+                            return
+                        collected[cid].append(self._label(rec, pipe.server))
+                        last_progress[cid] = time.monotonic()
             except Exception as exc:
-                errors[cid] = f"{type(exc).__name__}: {exc}"
+                with lock:
+                    errors.setdefault(cid, f"{type(exc).__name__}: {exc}")
 
-        threads = [threading.Thread(target=drive, args=(p,), daemon=True) for p in self._live()]
+        threads = [threading.Thread(target=drive, args=(p,), daemon=True) for p in live]
         for t in threads:
             t.start()
-        for t in threads:
-            t.join()
-        self.failed.update(errors)
-        records = [rec for recs in collected.values() for rec in recs]
+        timeout = self.config.barrier_timeout
+        for cid, t in zip(collected, threads):
+            while t.is_alive():
+                idle = time.monotonic() - last_progress[cid]
+                if idle >= timeout:
+                    with lock:
+                        errors.setdefault(
+                            cid,
+                            f"BarrierTimeoutError: client {cid}'s pipeline completed no step "
+                            f"in {timeout}s",
+                        )
+                    break
+                t.join(timeout - idle)
+        with lock:
+            self.failed.update(errors)
+            records = [rec for recs in collected.values() for rec in recs]
         records.sort(key=lambda r: (r.step, r.client_id))
         return records
 

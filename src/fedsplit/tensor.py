@@ -270,7 +270,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"rms_norm weight shape {weight.data.shape} does not match feature dim {dim}"
         )
-    ms = np.mean(x.data * x.data, axis=-1, keepdims=True)
+    # the sum and the division np.mean does, without its wrapper
+    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / dim
     r = np.sqrt(ms + eps)
     normed = x.data / r
     out = normed * weight.data
@@ -362,20 +363,32 @@ def rope_angles(positions: np.ndarray, head_dim: int, base: float) -> tuple[np.n
     return np.cos(angles), np.sin(angles)
 
 
-def apply_rope(x: Tensor, positions: Sequence[int], base: float = 10000.0) -> Tensor:
+def apply_rope(
+    x: Tensor,
+    positions: Sequence[int],
+    base: float = 10000.0,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Tensor:
     """Rotate (batch, heads, seq, head_dim) features by per-position angles.
 
     Uses the rotate-half layout: the feature vector is split into two halves
-    that form (x1, x2) rotation pairs per frequency.
+    that form (x1, x2) rotation pairs per frequency. ``tables`` takes the
+    ``rope_angles(positions, head_dim, base)`` result when the caller already
+    has it (``positions`` and ``base`` are then not read), so several
+    rotations at the same positions compute the angles once.
     """
     x = _wrap(x)
     if x.data.ndim != 4:
         raise ShapeError(f"apply_rope expects 4-D input, got shape {x.data.shape}")
     b, h, s, hd = x.data.shape
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.shape != (s,):
-        raise ShapeError(f"positions length {pos.shape} does not match sequence length {s}")
-    cos, sin = rope_angles(pos, hd, base)
+    if tables is None:
+        pos = np.asarray(positions, dtype=np.int64)
+        if pos.shape != (s,):
+            raise ShapeError(f"positions length {pos.shape} does not match sequence length {s}")
+        tables = rope_angles(pos, hd, base)
+    elif any(t.shape != (s, hd // 2) for t in tables):
+        raise ShapeError(f"rotary tables do not match (seq, head_dim // 2)=({s}, {hd // 2})")
+    cos, sin = tables
     cos = cos[None, None, :, :]
     sin = sin[None, None, :, :]
     half = hd // 2
@@ -403,6 +416,13 @@ def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     Rows with no allowed entry come back as all-zero rather than NaN; callers
     only produce such rows for padding positions whose outputs are discarded.
     """
+    if allowed.all():
+        # with every key visible the general path's masking is a no-op, so
+        # for finite row maxima this is the same arithmetic, bit for bit
+        m = np.max(scores, axis=-1, keepdims=True)
+        if np.isfinite(m).all():
+            e = np.exp(scores - m)
+            return e / np.sum(e, axis=-1, keepdims=True)
     neg = ~allowed
     masked = np.where(neg, -np.inf, scores)
     m = np.max(masked, axis=-1, keepdims=True)

@@ -14,10 +14,15 @@ import socket
 import threading
 from typing import Callable
 
-from .errors import ChannelClosedError, ConfigError, ProtocolError
+from .errors import ChannelClosedError, ConfigError, FrameError, ProtocolError
 from .wire import HEADER, CommStats, Message, decode_message, encode_message, parse_header
 
 _CLOSE = object()
+
+# Largest frame body a TCP peer may announce. The biggest frames the package
+# sends are well under 1 MiB; the cap keeps a corrupt or hostile header from
+# choosing the size of the receive allocation.
+MAX_FRAME_BODY = 256 * 2**20
 
 
 class LoopbackChannel:
@@ -99,6 +104,12 @@ class TcpChannel:
         try:
             header = self._read_exact(HEADER.size, "peer closed the connection")
             _, body_len = parse_header(header)
+            if body_len > MAX_FRAME_BODY:
+                raise FrameError(
+                    f"frame announces a {body_len}-byte body, over the "
+                    f"{MAX_FRAME_BODY}-byte limit",
+                    6,
+                )
             body = self._read_exact(body_len, "connection closed mid-frame")
         except socket.timeout:
             raise ProtocolError(f"recv timed out after {timeout}s") from None
@@ -247,23 +258,29 @@ def serve_channel(
     handle: Callable[[Message], Message],
     after_reply: Callable[[Message], None] | None = None,
 ) -> None:
-    """Answer each request with ``handle(request)`` until the peer closes.
+    """Answer each request with ``handle(request)`` until either end closes.
 
     ``after_reply`` (if given) sees each request once its reply has been
     sent, so work it does cannot delay or reorder protocol traffic. A
-    handler error closes the channel, so the peer sees it closed, and
-    propagates.
+    frame that does not decode or a handler error closes the channel, so the
+    peer sees it closed, and propagates.
     """
     while True:
         try:
             msg = channel.recv()
         except ChannelClosedError:
             return
+        except FrameError:
+            channel.close()
+            raise
         try:
             reply = handle(msg)
         except Exception:
             channel.close()
             raise
-        channel.send(reply)
+        try:
+            channel.send(reply)
+        except ChannelClosedError:
+            return
         if after_reply is not None:
             after_reply(msg)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedsplit import inference
 from fedsplit.errors import (
     ChannelClosedError,
     ConfigError,
@@ -83,6 +84,63 @@ def test_cache_rejects_wrong_block_count_and_shapes():
     entry.append(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4)))
     with pytest.raises(ShapeError):
         entry.append(np.ones((1, 3, 1, 4)), np.ones((1, 3, 1, 4)))
+
+
+def test_cache_views_keep_their_values_across_appends_and_growth():
+    entry = KVCache(1).entries_for(1)[0]
+    rng = np.random.default_rng(3)
+    chunks = [rng.standard_normal((2, 2, n, 4)) for n in (3, 1, 1, 1, 4, 1)]
+    views = [entry.append(chunk, -chunk) for chunk in chunks]
+    seen = np.concatenate(chunks, axis=2)
+    for k, v in views:
+        n = k.shape[2]
+        assert k.tobytes() == np.ascontiguousarray(seen[:, :, :n]).tobytes()
+        assert v.tobytes() == np.ascontiguousarray(-seen[:, :, :n]).tobytes()
+    assert entry.length == 11
+
+
+class _ConcatEntry:
+    """Reference cache entry: the whole history re-concatenated per append."""
+
+    def __init__(self):
+        self.k = self.v = None
+
+    @property
+    def length(self):
+        return 0 if self.k is None else self.k.shape[2]
+
+    def append(self, k_new, v_new):
+        if self.k is None:
+            self.k, self.v = k_new.copy(), v_new.copy()
+        else:
+            self.k = np.concatenate([self.k, k_new], axis=2)
+            self.v = np.concatenate([self.v, v_new], axis=2)
+        return self.k, self.v
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_cached_decode_is_bitwise_equal_to_concatenating_cache(transport, monkeypatch):
+    long_cfg = ModelConfig(
+        vocab_size=32, hidden_size=16, num_heads=2, num_blocks=3, mlp_hidden=24, max_context=72
+    )
+    prompt = [int(t) for t in np.random.default_rng(8).integers(0, 32, size=5)]
+
+    def decode_logits():
+        front, middle, back = build_partitioned(long_cfg, PART, seed=6)
+        with InferenceStack(front, middle, back, transport=transport) as stack:
+            session = stack.session
+            logits = [session.prefill(prompt)]
+            for _ in range(60):
+                logits.append(session.decode_step(int(np.argmax(logits[-1]))))
+            return logits, session.front_cache
+
+    logits, cache = decode_logits()
+    # a 5-position prefill buffer doubled to 10, 20, 40 and 80 positions
+    assert cache.length == 65 and cache.entries_for(1)[0]._k.shape[2] == 80
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "_CacheEntry", _ConcatEntry)
+        reference, _ = decode_logits()
+    assert [a.tobytes() for a in logits] == [b.tobytes() for b in reference]
 
 
 def test_generation_config_validation():

@@ -1,6 +1,8 @@
 """Client-batch concatenation and hierarchical sub-server training."""
 
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -519,6 +521,69 @@ def test_hierarchical_failed_pipeline_is_excluded_and_reported():
     assert log[1].weights == (1.0,)
     assert 1 in trainer.failed and "lost its shard" in trainer.failed[1]
     assert sorted({r.client_id for r in records if r.step >= 2}) == [0]
+
+
+def test_hierarchical_stalled_pipeline_times_out_and_is_excluded():
+    central, clients, subs, channels = hierarchical_session(2, seed=21)
+    samplers = {cid: sampler_for(seed=70 + cid) for cid in range(2)}
+    release, returned = threading.Event(), threading.Event()
+
+    def source(cid, step):
+        if cid == 1 and step == 1:
+            release.wait(30.0)
+            returned.set()
+        return samplers[cid].batch_for(step)
+
+    cfg = StrategyConfig(
+        mode="server_hierarchical", num_clients=2, sync_interval=3, barrier_timeout=0.5
+    )
+    result = {}
+    with HierarchicalTrainer(central, clients, subs, channels, cfg) as trainer:
+        phase = threading.Thread(
+            target=lambda: result.update(records=trainer.run_phase(source, 0, 3)), daemon=True
+        )
+        try:
+            phase.start()
+            phase.join(15.0)
+            assert not phase.is_alive(), "run_phase did not return for a stalled pipeline"
+            assert trainer.failed[1].startswith("BarrierTimeoutError")
+            merge = trainer.merge(3)
+            # the stalled step now completes; its late record and state are ignored
+            release.set()
+            assert returned.wait(10.0)
+        finally:
+            release.set()
+    records = result["records"]
+    assert [(r.client_id, r.step) for r in records] == [(0, 0), (1, 0), (0, 1), (0, 2)]
+    assert merge.merged_clients == (0,) and merge.excluded_clients == (1,)
+    assert trainer.failed[1].startswith("BarrierTimeoutError")
+    assert 0 not in trainer.failed
+
+
+def test_hierarchical_phase_keeps_every_record_under_thread_contention():
+    central, clients, subs, channels = hierarchical_session(4, seed=27)
+    samplers = {cid: sampler_for(seed=90 + cid) for cid in range(4)}
+    cfg = StrategyConfig(mode="server_hierarchical", num_clients=4, barrier_timeout=20.0)
+    result = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with HierarchicalTrainer(central, clients, subs, channels, cfg) as trainer:
+            phase = threading.Thread(
+                target=lambda: result.update(
+                    records=trainer.run_phase(lambda c, s: samplers[c].batch_for(s), 0, 3)
+                ),
+                daemon=True,
+            )
+            phase.start()
+            phase.join(60.0)
+            assert not phase.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert trainer.failed == {}
+    assert [(r.step, r.client_id) for r in result["records"]] == [
+        (step, cid) for step in range(3) for cid in range(4)
+    ]
 
 
 def test_hierarchical_rejects_sub_server_not_at_central_params():

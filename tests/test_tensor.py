@@ -32,6 +32,7 @@ from fedsplit.tensor import (
     mul,
     no_grad,
     rms_norm,
+    rope_angles,
     silu,
     softmax_cross_entropy,
     split_heads,
@@ -154,6 +155,15 @@ def test_rms_norm_grad(seed):
     assert_grads_close(lambda a, b: rms_norm(a, b, eps=1e-5), [x, w], (3, 6), 1e-6, seed)
 
 
+def test_rms_norm_bitwise_matches_mean_form():
+    rng = np.random.default_rng(13)
+    for shape in ((8, 18, 64), (1, 1, 64), (3, 5)):
+        x = rng.standard_normal(shape) * 3.0
+        w = rng.standard_normal(shape[-1])
+        old = x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-5) * w
+        assert rms_norm(Tensor(x), Tensor(w), eps=1e-5).data.tobytes() == old.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # silu
 
@@ -268,6 +278,23 @@ def test_rope_grad(seed):
     assert_grads_close(lambda a: apply_rope(a, [0, 2, 5]), [x], (1, 2, 3, 4), 1e-6, seed)
 
 
+def test_rope_with_precomputed_tables_is_bitwise_per_call():
+    rng = np.random.default_rng(14)
+    positions = [7, 8, 9, 10, 11]
+    tables = rope_angles(np.asarray(positions, dtype=np.int64), 8, 10000.0)
+    x = rng.standard_normal((2, 4, 5, 8))
+    g = rng.standard_normal((2, 4, 5, 8))
+    per_call, shared = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    a = apply_rope(per_call, positions)
+    b = apply_rope(shared, positions, tables=tables)
+    assert a.data.tobytes() == b.data.tobytes()
+    a.backward(g)
+    b.backward(g)
+    assert per_call.grad.tobytes() == shared.grad.tobytes()
+    with pytest.raises(ShapeError):
+        apply_rope(Tensor(x), positions[:4], tables=(tables[0][:4], tables[1][:4]))
+
+
 # ---------------------------------------------------------------------------
 # attention
 
@@ -290,6 +317,37 @@ def test_masked_softmax_rows_sum_to_one():
     live = allowed.any(axis=-1)
     assert np.all(np.abs(sums[np.broadcast_to(live, sums.shape)] - 1.0) < 1e-12)
     assert np.all(probs[~np.broadcast_to(allowed, probs.shape)] == 0.0)
+
+
+def _masked_softmax_general(scores, allowed):
+    neg = ~allowed
+    masked = np.where(neg, -np.inf, scores)
+    m = np.max(masked, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.where(neg, 0.0, np.exp(masked - m))
+    z = np.sum(e, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(z > 0.0, e / z, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 1, 1), (1, 4, 1, 37), (8, 4, 18, 18)])
+def test_all_visible_softmax_is_bitwise_general_path(shape):
+    scores = np.random.default_rng(15).standard_normal(shape) * 6.0
+    allowed = np.ones(shape, dtype=bool)
+    fast = masked_softmax(scores, allowed)
+    assert fast.tobytes() == _masked_softmax_general(scores, allowed).tobytes()
+
+
+def test_all_visible_softmax_with_nonfinite_scores_matches_general_path():
+    scores = np.random.default_rng(16).standard_normal((1, 2, 3, 5))
+    scores[0, 0, 0, 1] = np.inf
+    scores[0, 1, 2, 3] = np.nan
+    scores[0, 1, 1, 0] = -np.inf
+    allowed = np.ones(scores.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        fast = masked_softmax(scores, allowed)
+        general = _masked_softmax_general(scores, allowed)
+    assert fast.tobytes() == general.tobytes()
 
 
 def test_fully_masked_rows_are_zero_not_nan():

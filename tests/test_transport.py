@@ -5,13 +5,26 @@ import threading
 import numpy as np
 import pytest
 
-from fedsplit.errors import ChannelClosedError, ProtocolError
+from fedsplit.errors import ChannelClosedError, FrameError, ProtocolError
 from fedsplit.transport import (
+    MAX_FRAME_BODY,
     LoopbackChannel,
     MessageChannel,
+    channel_pair,
+    serve_channel,
     tcp_pair,
 )
-from fedsplit.wire import CommStats, GradMsg, HiddenStateMsg, MaskMeta, messages_equal
+from fedsplit.wire import (
+    CLASS_GRAD,
+    HEADER,
+    MAGIC,
+    VERSION,
+    CommStats,
+    GradMsg,
+    HiddenStateMsg,
+    MaskMeta,
+    messages_equal,
+)
 
 
 def make_messages(n, seed=0):
@@ -166,3 +179,48 @@ def test_shared_stats_object_can_serve_multiple_channels():
     s1.recv(timeout=1.0)
     s2.recv(timeout=1.0)
     assert stats.snapshot()["classes"]["grad"]["sent_count"] == 2
+
+
+@pytest.mark.parametrize("body_len", [2**63, MAX_FRAME_BODY + 1])
+def test_tcp_rejects_oversized_frame_header_before_reading(body_len):
+    sa, sb = tcp_pair()
+    try:
+        sa.send_frame(HEADER.pack(MAGIC, VERSION, CLASS_GRAD, body_len))
+        with pytest.raises(FrameError, match="limit"):
+            sb.recv_frame(timeout=5.0)
+    finally:
+        sa.close()
+        sb.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_serve_channel_returns_when_its_channel_closes_before_the_reply(kind):
+    server, client = channel_pair(kind)
+
+    def handle(msg):
+        server.close()  # a shutdown that lands while the request is handled
+        return msg
+
+    client.send(GradMsg(np.zeros((1, 1)), step_id=0, client_id=0))
+    serve_channel(server, handle)
+    client.close()
+
+
+def test_serve_channel_closes_on_an_undecodable_frame():
+    server, client = channel_pair("tcp")
+    failures = []
+
+    def serve():
+        try:
+            serve_channel(server, lambda msg: msg)
+        except FrameError as exc:
+            failures.append(exc)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    client._frames.send_frame(HEADER.pack(MAGIC, VERSION, CLASS_GRAD, 2**63))
+    with pytest.raises(ChannelClosedError):
+        client.recv(timeout=5.0)
+    thread.join(5.0)
+    assert not thread.is_alive() and len(failures) == 1
+    client.close()
