@@ -119,11 +119,6 @@ class AttackerConfig:
             raise ConfigError("replay epochs cannot be negative")
 
 
-def build_attack_decoder(config: ModelConfig, depth: int, seed: int) -> SegmentModel:
-    """A fresh, fully trainable mirror of the client front plus a vocab head."""
-    return build_decoder_probe(config, depth, seed)
-
-
 def normalize_hidden(h: np.ndarray) -> np.ndarray:
     """Rescale each sequence to unit RMS.
 
@@ -320,7 +315,7 @@ def run_attack(
     decoder = None
     observer = None
     if attack_enabled:
-        decoder = build_attack_decoder(config, attacker.depth, attacker.seed)
+        decoder = build_decoder_probe(config, attacker.depth, attacker.seed)
         observer = AttackObserver(decoder, malicious_id, attacker.lr)
 
     clients, server_channels = build_clients(

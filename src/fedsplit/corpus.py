@@ -98,9 +98,7 @@ class ToyCorpus:
 # generators
 
 
-def _content_rng(rng, n, vocab_size, alphabet: Sequence[int] | None):
-    if alphabet is not None:
-        return tuple(int(x) for x in rng.choice(np.asarray(alphabet), size=n))
+def _content_rng(rng, n, vocab_size):
     return tuple(int(x) for x in rng.integers(FIRST_CONTENT_ID, vocab_size, size=n))
 
 
@@ -109,7 +107,6 @@ def make_copy_corpus(
     payload_len: int,
     vocab_size: int = 256,
     seed: int = 0,
-    alphabet: Sequence[int] | None = None,
 ) -> ToyCorpus:
     """Echo task: the answer repeats the prompt payload, then stops.
 
@@ -119,7 +116,7 @@ def make_copy_corpus(
     rng = np.random.default_rng(seed)
     items = []
     for _ in range(n_items):
-        payload = _content_rng(rng, payload_len, vocab_size, alphabet)
+        payload = _content_rng(rng, payload_len, vocab_size)
         items.append(
             CorpusItem(prompt=(BOS_ID,) + payload + (SEP_ID,), answer=payload + (STOP_ID,))
         )
@@ -133,13 +130,12 @@ def make_lm_corpus(
     length: int,
     vocab_size: int = 256,
     seed: int = 0,
-    alphabet: Sequence[int] | None = None,
 ) -> ToyCorpus:
     """Uniform random continuations: every content position is supervised."""
     rng = np.random.default_rng(seed)
     items = []
     for _ in range(n_items):
-        body = _content_rng(rng, length, vocab_size, alphabet)
+        body = _content_rng(rng, length, vocab_size)
         items.append(CorpusItem(prompt=(BOS_ID,), answer=body + (STOP_ID,)))
     corpus = ToyCorpus(items, vocab_size, "lm", seed)
     corpus.validate()
@@ -159,7 +155,7 @@ def make_cloze_corpus(
     rng = np.random.default_rng(seed)
     items = []
     for _ in range(n_items):
-        context = _content_rng(rng, context_len, vocab_size, None)
+        context = _content_rng(rng, context_len, vocab_size)
         candidates = rng.choice(
             np.arange(FIRST_CONTENT_ID, vocab_size), size=num_candidates, replace=False
         )
@@ -229,7 +225,7 @@ class BatchSampler:
     identical batch streams, no matter which process asks.
     """
 
-    def __init__(self, corpus: ToyCorpus, batch_size: int, seed: int = 0, pad_to: int | None = None):
+    def __init__(self, corpus: ToyCorpus, batch_size: int, seed: int = 0):
         if batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if len(corpus) == 0:
@@ -237,9 +233,8 @@ class BatchSampler:
         self.corpus = corpus
         self.batch_size = min(batch_size, len(corpus))
         self.seed = seed
-        self.pad_to = pad_to
 
     def batch_for(self, step: int) -> Batch:
         rng = np.random.default_rng((self.seed, step))
         idx = rng.choice(len(self.corpus), size=self.batch_size, replace=False)
-        return batch_from_items([self.corpus.items[i] for i in sorted(idx)], self.pad_to)
+        return batch_from_items([self.corpus.items[i] for i in sorted(idx)])

@@ -219,9 +219,9 @@ def _require_valid(problems: list[str]) -> None:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
-def _build_section(raw: dict, key: str, cls, errors: list[str], **overrides):
-    data = dict(raw.get(key) or {})
-    data.update(overrides)
+def _build_section(raw: dict, key: str, cls, errors: list[str]):
+    # JSON has no tuples; every sequence-valued section field is a tuple
+    data = {k: tuple(v) if isinstance(v, list) else v for k, v in (raw.get(key) or {}).items()}
     try:
         return cls(**data)
     except FedSplitError as exc:
@@ -260,21 +260,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     strategy = _build_section(raw, "strategy", StrategyConfig, errors)
     training = _build_section(raw, "training", TrainingSection, errors)
     corpus = _build_section(raw, "corpus", CorpusSection, errors)
-    gen_raw = dict(raw.get("generation") or {})
-    if "prompt" in gen_raw:
-        gen_raw["prompt"] = tuple(gen_raw["prompt"])
-    generation = _build_section({"generation": gen_raw}, "generation", GenerationSection, errors)
+    generation = _build_section(raw, "generation", GenerationSection, errors)
     evaluation = _build_section(raw, "evaluation", EvalSection, errors)
     attack = _build_section(raw, "attack", AttackSection, errors)
-    comm_raw = dict(raw.get("comm") or {})
-    if "context_lengths" in comm_raw:
-        comm_raw["context_lengths"] = tuple(comm_raw["context_lengths"])
-    comm = _build_section({"comm": comm_raw}, "comm", CommSection, errors)
-    grid_raw = dict(raw.get("grid") or {})
-    for key in ("fronts", "backs"):
-        if key in grid_raw:
-            grid_raw[key] = tuple(grid_raw[key])
-    grid = _build_section({"grid": grid_raw}, "grid", GridSection, errors)
+    comm = _build_section(raw, "comm", CommSection, errors)
+    grid = _build_section(raw, "grid", GridSection, errors)
 
     if model is not None and partition is not None and partition.total != model.num_blocks:
         errors.append(
@@ -349,9 +339,12 @@ def load_config(path, env: dict | None = None) -> ExperimentConfig:
         if not sep or not host:
             raise ConfigError(f"{ENV_ENDPOINT} must look like host:port, got {endpoint!r}")
         try:
-            transport_mod.set_default_endpoint(host, int(port))
+            port_num = int(port)
         except ValueError:
             raise ConfigError(f"{ENV_ENDPOINT} port must be an integer, got {port!r}") from None
+        if not 0 <= port_num <= 65535:
+            raise ConfigError(f"{ENV_ENDPOINT} port must be in 0-65535, got {port_num}")
+        transport_mod.set_default_endpoint(host, port_num)
     return config_from_dict(raw)
 
 
@@ -577,16 +570,22 @@ def _load_adapters(segments, adapters_path) -> None:
         seg.load_state_dict(state, subset=True)
 
 
+def _segments(cfg: ExperimentConfig, segments=None, adapters=None):
+    """``segments`` if given, else (front, middle, back) built from the config
+    with the ``adapters`` file, if one is named, loaded into them."""
+    if segments is None:
+        segments = build_partitioned(cfg.model, cfg.partition, cfg.lora, cfg.seed)
+        if adapters is not None:
+            _load_adapters(segments, adapters)
+    return segments
+
+
 def run_generate(cfg: ExperimentConfig, output_dir=None, segments=None, adapters=None):
     """Generate from the configured prompt and write ``generation.json``."""
     _require_valid(_check_generation(cfg.model, cfg.generation))
     out = _prepare_output_dir(cfg, output_dir)
     gen = cfg.generation
-    if segments is None:
-        segments = build_partitioned(cfg.model, cfg.partition, cfg.lora, cfg.seed)
-        if adapters is not None:
-            _load_adapters(segments, adapters)
-    front, middle, back = segments
+    front, middle, back = _segments(cfg, segments, adapters)
     decode = GenerationConfig(
         max_new_tokens=gen.max_new_tokens, mode=gen.mode,
         temperature=gen.temperature, stop_token=gen.stop_token, seed=gen.seed,
@@ -613,11 +612,7 @@ def run_eval(cfg: ExperimentConfig, output_dir=None, segments=None, adapters=Non
     """
     _require_valid(_check_evaluation(cfg.corpus, cfg.evaluation))
     out = _prepare_output_dir(cfg, output_dir)
-    if segments is None:
-        segments = build_partitioned(cfg.model, cfg.partition, cfg.lora, cfg.seed)
-        if adapters is not None:
-            _load_adapters(segments, adapters)
-    front, middle, back = segments
+    front, middle, back = _segments(cfg, segments, adapters)
     corpus = build_corpus(cfg.corpus, cfg.model)
     items = corpus.items
     if cfg.evaluation.max_items is not None:
@@ -689,9 +684,9 @@ def run_attack_experiment(cfg: ExperimentConfig, output_dir=None):
     return write_report(out / "attack.json", "attack", cfg.seed, report.to_json())
 
 
-def _decode_step_bytes(cfg: ExperimentConfig, context_len: int, use_cache: bool) -> float:
+def _decode_step_bytes(cfg: ExperimentConfig, segments, context_len: int, use_cache: bool) -> float:
     """Mean client-side bytes per decode step after a ``context_len`` prefill."""
-    front, middle, back = build_partitioned(cfg.model, cfg.partition, cfg.lora, cfg.seed)
+    front, middle, back = segments
     prompt = [i % cfg.model.vocab_size for i in range(context_len)]
     with InferenceStack(front, middle, back, transport=cfg.transport,
                         use_cache=use_cache) as stack:
@@ -721,8 +716,9 @@ def comm_report(cfg: ExperimentConfig, output_dir=None):
     meta = MaskMeta(c.seq_len, (0,) * c.batch, c.batch)
     dense = meta.dense_mask_bytes(c.scalar_width)
     l1, l2 = c.context_lengths
-    cached = [_decode_step_bytes(cfg, length, True) for length in (l1, l2)]
-    uncached = [_decode_step_bytes(cfg, length, False) for length in (l1, l2)]
+    segments = _segments(cfg)
+    cached = [_decode_step_bytes(cfg, segments, length, True) for length in (l1, l2)]
+    uncached = [_decode_step_bytes(cfg, segments, length, False) for length in (l1, l2)]
     payload = {
         "mask": {
             "batch": c.batch,
@@ -751,7 +747,7 @@ def _param_count(segment) -> int:
 def memory_report(cfg: ExperimentConfig, output_dir=None):
     """Client-resident parameter fraction for the configured partition."""
     out = _prepare_output_dir(cfg, output_dir)
-    front, middle, back = build_partitioned(cfg.model, cfg.partition, cfg.lora, cfg.seed)
+    front, middle, back = _segments(cfg)
     client = _param_count(front) + _param_count(back)
     server = _param_count(middle)
     total = client + server

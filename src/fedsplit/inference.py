@@ -273,20 +273,22 @@ class GenerationSession:
             )
         return toks
 
-    def _full_pass(self, tokens: list[int]) -> np.ndarray:
-        """Uncached path: recompute the whole prefix and keep no state."""
-        ids = np.asarray([tokens])
-        positions = tuple(range(len(tokens)))
-        mask = MaskMeta(len(tokens), 0, 1)
+    def _exchange_prefix(self) -> np.ndarray:
+        """Send the whole token history across the split; returns the logits
+        at its last position. A cached session fills its caches here; an
+        uncached one (both caches ``None``) keeps no state."""
+        ids = np.asarray([self.tokens])
+        positions = tuple(range(len(self.tokens)))
+        mask = MaskMeta(len(self.tokens), 0, 1)
         with T.no_grad():
-            h = self.front.forward(ids)
+            h = self.front.forward(ids, cache=self.front_cache)
         reply = self.channel.request(
             HiddenStateMsg(h.data, mask, positions, step_id=self.session_id, client_id=self.client_id)
         )
         if reply.step_id != self.session_id:
             raise ProtocolError("prefix reply does not belong to this session")
         with T.no_grad():
-            logits = self.back.forward(reply.payload)
+            logits = self.back.forward(reply.payload, cache=self.back_cache)
         return logits.data[0, -1]
 
     def prefill(self, prompt: Sequence[int]) -> np.ndarray:
@@ -296,21 +298,7 @@ class GenerationSession:
             raise ProtocolError("session already prefilled; use a fresh session")
         self._prefilled = True
         self.tokens = list(toks)
-        if not self.use_cache:
-            return self._full_pass(self.tokens)
-        ids = np.asarray([toks])
-        positions = tuple(range(len(toks)))
-        mask = MaskMeta(len(toks), 0, 1)
-        with T.no_grad():
-            h = self.front.forward(ids, cache=self.front_cache)
-        reply = self.channel.request(
-            HiddenStateMsg(h.data, mask, positions, step_id=self.session_id, client_id=self.client_id)
-        )
-        if reply.step_id != self.session_id:
-            raise ProtocolError("prefill reply does not belong to this session")
-        with T.no_grad():
-            logits = self.back.forward(reply.payload, cache=self.back_cache)
-        return logits.data[0, -1]
+        return self._exchange_prefix()
 
     def decode_step(self, last_token: int) -> np.ndarray:
         """Feed one token; returns the logits predicting the next one."""
@@ -323,7 +311,7 @@ class GenerationSession:
             )
         self.tokens.append(int(last_token))
         if not self.use_cache:
-            return self._full_pass(self.tokens)
+            return self._exchange_prefix()
         ids = np.asarray([[int(last_token)]])
         with T.no_grad():
             h = self.front.forward(ids, positions=[position], cache=self.front_cache)

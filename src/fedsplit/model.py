@@ -259,23 +259,6 @@ class Block:
         return named
 
 
-def _history_mask(
-    batch: int, key_len: int, pad_lens: Sequence[int] | int, positions: Sequence[int]
-) -> np.ndarray:
-    """Query at absolute position p may read key slots pad..p."""
-    if isinstance(pad_lens, (int, np.integer)):
-        pads = np.full(batch, int(pad_lens))
-    else:
-        pads = np.asarray([int(p) for p in pad_lens])
-        if pads.shape != (batch,):
-            raise ShapeError(f"got {pads.shape[0]} pad lengths for batch {batch}")
-    pos = np.asarray(positions, dtype=np.int64)
-    j = np.arange(key_len)
-    causal = j[None, None, :] <= pos[None, :, None]
-    visible = j[None, None, :] >= pads[:, None, None]
-    return causal & visible
-
-
 # ---------------------------------------------------------------------------
 # segments
 
@@ -354,10 +337,10 @@ class SegmentModel:
         if len(positions) != seq_len:
             raise ShapeError(f"got {len(positions)} positions for sequence length {seq_len}")
 
-        entries = self._cache_entries(cache)
+        entries = [None] * len(self.blocks) if cache is None else cache.entries_for(len(self.blocks))
         if self.blocks:
             past = 0 if cache is None else cache.length
-            allowed = _history_mask(x.data.shape[0], past + seq_len, pad_lens, positions)
+            allowed = T.causal_mask(x.data.shape[0], past + seq_len, pad_lens, positions)
             rope = T.rope_angles(
                 np.asarray(positions, dtype=np.int64), self.config.head_dim, self.config.rope_base
             )
@@ -373,17 +356,6 @@ class SegmentModel:
                 )
             self._pending = (leaf, x)
         return x
-
-    def _cache_entries(self, cache):
-        if cache is None:
-            return [None] * len(self.blocks)
-        entries = cache.entries_for(len(self.blocks))
-        return entries
-
-    def output(self) -> Tensor:
-        if self._pending is None:
-            raise ProtocolError(f"{self.role} segment has no pending forward")
-        return self._pending[1]
 
     def backward(self, upstream: np.ndarray) -> np.ndarray | None:
         """Seed the pending output with ``upstream`` and run this segment's
@@ -444,10 +416,6 @@ class SegmentModel:
                     p.grad = None
         return grads
 
-    def zero_grads(self) -> None:
-        for p in self.named_parameters().values():
-            p.grad = None
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: p.data.copy() for n, p in self.named_parameters().items()}
 
@@ -455,8 +423,8 @@ class SegmentModel:
         """Overwrite parameters in place from ``state``.
 
         With ``subset=True`` extra names in ``state`` are ignored, so a
-        segment can load its slice of a monolithic checkpoint. Missing names
-        or shape mismatches always fail.
+        segment can load its slice of a monolithic checkpoint or of a merged
+        parameter set. Missing names or shape mismatches always fail.
         """
         named = self.named_parameters()
         if not subset:
@@ -470,23 +438,6 @@ class SegmentModel:
             if arr.shape != p.data.shape:
                 raise CheckpointError(
                     f"parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
-                )
-            p.data = arr.copy()
-
-    def load_adapter_state(self, state: dict[str, np.ndarray]) -> None:
-        """Overwrite only the trainable parameters from ``state``.
-
-        ``state`` may carry extra names (for example a full merged state
-        dict); every trainable parameter of this segment must appear with a
-        matching shape. Frozen base weights are left untouched.
-        """
-        for name, p in self.trainable_parameters().items():
-            if name not in state:
-                raise CheckpointError(f"adapter state is missing parameter {name!r}")
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise CheckpointError(
-                    f"adapter parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
                 )
             p.data = arr.copy()
 

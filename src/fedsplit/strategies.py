@@ -153,9 +153,11 @@ ClientBatchServer = TrainingServer
 def align_batches(batches: Sequence[Batch], pad_id: int = 0) -> list[Batch]:
     """Left-pad every batch to the group's longest sequence length.
 
-    Client-batch concatenation requires a uniform seq_len; this normalizer
-    runs on the client side before shipping, never inside the server, so the
-    server-side slice-equivalence property stays exact.
+    Client-batch concatenation requires a uniform seq_len;
+    ``ClientBatchTrainer.run_round`` applies this normalizer to each round's
+    batches before the clients ship them, never inside the server, so the
+    server-side slice-equivalence property stays exact. Batches already at
+    the longest width pass through as the same objects.
     """
     if not batches:
         return []
@@ -202,6 +204,7 @@ class ClientBatchTrainer(Trainer):
     def run_round(self, batches: Sequence[Batch], round_index: int) -> list[TrainStepRecord]:
         if len(batches) != len(self.clients):
             raise ProtocolError(f"expected {len(self.clients)} batches, got {len(batches)}")
+        batches = align_batches(batches)
         results: list[TrainStepRecord | None] = [None] * len(self.clients)
         failures: list[Exception] = []
 
@@ -378,15 +381,15 @@ class HierarchicalTrainer(Trainer):
         weights = [p.weight for p in live]
         merged = fedavg_merge([p.server.middle for p in live], weights)
         state = merged.state_dict()
-        self.central.load_adapter_state(state)
+        self.central.load_state_dict(state, subset=True)
         for p in live:
-            p.server.middle.load_adapter_state(state)
+            p.server.middle.load_state_dict(state, subset=True)
         if self.config.merge_clients:
             front_state = fedavg_merge([p.client.front for p in live], weights).state_dict()
             back_state = fedavg_merge([p.client.back for p in live], weights).state_dict()
             for p in live:
-                p.client.front.load_adapter_state(front_state)
-                p.client.back.load_adapter_state(back_state)
+                p.client.front.load_state_dict(front_state, subset=True)
+                p.client.back.load_state_dict(back_state, subset=True)
         total = sum(weights)
         record = MergeRecord(
             step=at_step,

@@ -81,9 +81,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Accumulate gradients of ``self`` into every reachable tensor.
 
@@ -137,10 +134,6 @@ def _reachable(root: Tensor) -> list[Tensor]:
         out.append(node)
         stack.extend(node._parents)
     return out
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _wrap(x) -> Tensor:
@@ -477,22 +470,32 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
     return _make(out, (q, k, v), backward)
 
 
-def causal_mask(batch: int, seq_len: int, pad_lens: Sequence[int] | int = 0) -> np.ndarray:
-    """Boolean (batch, seq, seq) mask: query i may read key j iff pad <= j <= i."""
+def causal_mask(
+    batch: int,
+    key_len: int,
+    pad_lens: Sequence[int] | int = 0,
+    positions: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Boolean (batch, queries, key_len) mask: a query at absolute position p
+    may read key j iff pad <= j <= p.
+
+    ``positions`` holds the queries' absolute positions and defaults to
+    ``range(key_len)``, one query per key. A pass over a cached history has
+    fewer queries than keys: its positions start at the cache length.
+    """
     if isinstance(pad_lens, (int, np.integer)):
         pads = [int(pad_lens)] * batch
     else:
         pads = [int(p) for p in pad_lens]
         if len(pads) != batch:
             raise ShapeError(f"got {len(pads)} pad lengths for batch {batch}")
-    j = np.arange(seq_len)
-    tri = j[None, :] <= j[:, None]
-    out = np.empty((batch, seq_len, seq_len), dtype=bool)
-    for bi, pad in enumerate(pads):
-        if not 0 <= pad < seq_len:
-            raise ShapeError(f"pad length {pad} out of range for seq_len {seq_len}")
-        out[bi] = tri & (j[None, :] >= pad)
-    return out
+    if any(not 0 <= p < key_len for p in pads):
+        raise ShapeError(f"pad lengths {pads} out of range for key length {key_len}")
+    j = np.arange(key_len)
+    pos = j if positions is None else np.asarray(positions, dtype=np.int64)
+    causal = j[None, None, :] <= pos[None, :, None]
+    visible = j[None, None, :] >= np.asarray(pads)[:, None, None]
+    return causal & visible
 
 
 def causal_attention(

@@ -200,17 +200,15 @@ class MessageChannel:
         self,
         frames,
         stats: CommStats | None = None,
-        scalar_width: int = 8,
         record_frames: bool = False,
     ):
         self._frames = frames
         self.stats = stats if stats is not None else CommStats()
-        self.scalar_width = scalar_width
         self.sent_log: list[bytes] | None = [] if record_frames else None
         self.recv_log: list[bytes] | None = [] if record_frames else None
 
     def send(self, msg: Message) -> None:
-        frame = encode_message(msg, self.scalar_width)
+        frame = encode_message(msg)
         self._frames.send_frame(frame)
         self.stats.record_send(msg.wire_class, len(frame))
         if self.sent_log is not None:

@@ -18,7 +18,6 @@ uniform-pad encoding is exactly 24 bytes regardless of how large the dense
 
 from __future__ import annotations
 
-import json
 import struct
 import threading
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, ShapeError
+from .tensor import causal_mask
 
 MAGIC = b"FSWP"
 VERSION = 1
@@ -93,13 +93,7 @@ class MaskMeta:
 
 def reconstruct_mask(meta: MaskMeta) -> np.ndarray:
     """Dense additive mask: 0 where attention is allowed, -inf elsewhere."""
-    j = np.arange(meta.seq_len)
-    allowed_causal = j[None, :] <= j[:, None]
-    out = np.empty((meta.batch, meta.seq_len, meta.seq_len), dtype=np.float64)
-    for b, pad in enumerate(meta.pads):
-        allowed = allowed_causal & (j[None, :] >= pad)
-        out[b] = np.where(allowed, 0.0, -np.inf)
-    return out
+    return np.where(causal_mask(meta.batch, meta.seq_len, meta.pads), 0.0, -np.inf)
 
 
 def compress_mask(mask: np.ndarray) -> MaskMeta:
@@ -170,34 +164,6 @@ class CacheStepMsg:
 
 
 Message = HiddenStateMsg | GradMsg | CacheStepMsg
-
-
-def messages_equal(a: Message, b: Message) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, HiddenStateMsg):
-        return (
-            a.step_id == b.step_id
-            and a.client_id == b.client_id
-            and a.mask_meta == b.mask_meta
-            and a.positions == b.positions
-            and a.payload.shape == b.payload.shape
-            and np.array_equal(a.payload, b.payload)
-        )
-    if isinstance(a, GradMsg):
-        return (
-            a.step_id == b.step_id
-            and a.client_id == b.client_id
-            and a.payload.shape == b.payload.shape
-            and np.array_equal(a.payload, b.payload)
-        )
-    return (
-        a.position == b.position
-        and a.session_id == b.session_id
-        and a.step_id == b.step_id
-        and a.payload.shape == b.payload.shape
-        and np.array_equal(a.payload, b.payload)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +393,3 @@ class CommStats:
             "totals": totals,
             "round_trips": later["round_trips"] - earlier["round_trips"],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)

@@ -12,7 +12,6 @@ from fedsplit.attack import (
     AttackObserver,
     attack_grid,
     bleu4,
-    build_attack_decoder,
     build_split_for_depth,
     evaluate_reconstruction,
     normalize_hidden,
@@ -22,7 +21,7 @@ from fedsplit.attack import (
 )
 from fedsplit.corpus import make_lm_corpus, shard_corpus
 from fedsplit.errors import ConfigError, UndefinedMetricError
-from fedsplit.model import ModelConfig, build_monolithic
+from fedsplit.model import ModelConfig, build_decoder_probe, build_monolithic
 from fedsplit.training import NoiseConfig
 
 CFG = ModelConfig(
@@ -164,7 +163,7 @@ def test_split_for_depth_rejects_cut_that_leaves_no_trunk():
 
 def test_decoder_probe_is_independent_and_fully_trainable():
     front, _, _ = build_split_for_depth(CFG, 1, seed=3)
-    decoder = build_attack_decoder(CFG, 1, seed=101)
+    decoder = build_decoder_probe(CFG, 1, seed=101)
     victim = front.state_dict()
     probe = decoder.state_dict()
     aliased = [
@@ -186,7 +185,7 @@ def test_decoder_probe_is_independent_and_fully_trainable():
 
 
 def test_decoder_probe_depth_zero_maps_hidden_to_vocab():
-    decoder = build_attack_decoder(CFG, 0, seed=101)
+    decoder = build_decoder_probe(CFG, 0, seed=101)
     assert len(decoder.blocks) == 0
     h = np.zeros((2, 5, CFG.hidden_size))
     h[:, :, 0] = 1.0
@@ -209,7 +208,7 @@ def test_normalize_hidden_gives_unit_rms_per_sequence():
 
 
 def make_observer(depth=0, lr=0.2):
-    decoder = build_attack_decoder(CFG, depth, seed=101)
+    decoder = build_decoder_probe(CFG, depth, seed=101)
     return AttackObserver(decoder, malicious_id=0, lr=lr)
 
 
@@ -272,7 +271,7 @@ def test_observer_loss_decreases_on_repeated_pair():
 
 def test_observer_masks_padded_positions():
     front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    decoder = build_attack_decoder(CFG, 0, seed=101)
+    decoder = build_decoder_probe(CFG, 0, seed=101)
     obs = AttackObserver(decoder, malicious_id=0, lr=0.2)
     tokens = np.array([[0, 0, 9, 12], [1, 4, 9, 12]])
     obs.disclose(0, tokens, (2, 0))
@@ -284,7 +283,7 @@ def test_observer_masks_padded_positions():
 
 def test_evaluate_reconstruction_rejects_empty_items():
     front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    decoder = build_attack_decoder(CFG, 0, seed=101)
+    decoder = build_decoder_probe(CFG, 0, seed=101)
     with pytest.raises(ConfigError):
         evaluate_reconstruction(decoder, front, [])
 
@@ -293,7 +292,7 @@ def test_trained_probe_inverts_frozen_embeddings():
     # depth 0: hidden states are raw embedding rows, so a trained probe
     # recovers tokens exactly on sequences it never saw
     front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    decoder = build_attack_decoder(CFG, 0, seed=101)
+    decoder = build_decoder_probe(CFG, 0, seed=101)
     obs = AttackObserver(decoder, malicious_id=0, lr=0.3)
     rng = np.random.default_rng(7)
     for sid in range(12):

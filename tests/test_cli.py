@@ -9,6 +9,7 @@ import pytest
 
 import fedsplit.cli as cli
 import fedsplit.experiment as exp
+from fedsplit import transport
 from fedsplit.errors import ChannelClosedError, CheckFailure, FrameError, ProtocolError
 
 
@@ -147,6 +148,17 @@ def test_env_endpoint_rejects_garbage(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     monkeypatch.setenv("FEDSPLIT_ENDPOINT", "nonsense")
     assert cli.main(["train", "-c", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+def test_env_endpoint_rejects_out_of_range_port(tmp_path, monkeypatch, capsys, port):
+    cfg = write_config(tmp_path, transport="tcp")
+    monkeypatch.setenv("FEDSPLIT_ENDPOINT", f"127.0.0.1:{port}")
+    before = transport.DEFAULT_ENDPOINT
+    assert cli.main(["train", "-c", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+    assert "0-65535" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert transport.DEFAULT_ENDPOINT == before
 
 
 @pytest.mark.parametrize("exc,code", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedsplit import transport
-from fedsplit.corpus import make_copy_corpus
+from fedsplit.corpus import ToyCorpus, make_copy_corpus
 from fedsplit.errors import ConfigError
 from fedsplit.experiment import (
     build_corpus,
@@ -177,6 +177,29 @@ def test_build_corpus_from_saved_file(tmp_path):
     big_cfg = config_from_dict(base_raw(corpus={"path": str(big_path)}))
     with pytest.raises(ConfigError):
         build_corpus(big_cfg.corpus, big_cfg.model)
+
+
+@pytest.mark.parametrize("transport_kind", ["loopback", "tcp"])
+def test_client_batch_trains_on_shards_of_different_widths(tmp_path, transport_kind):
+    # round-robin sharding gives client 0 every 2-token payload and client 1
+    # every 6-token one, so each round's batches differ in width (6 vs 14)
+    short = make_copy_corpus(4, payload_len=2, vocab_size=16, seed=3).items
+    long = make_copy_corpus(4, payload_len=6, vocab_size=16, seed=4).items
+    mixed = ToyCorpus([it for pair in zip(short, long) for it in pair], 16, "copy", 3)
+    path = tmp_path / "corpus.json"
+    mixed.save(path)
+    for mode in ("client_batch", "sequential"):
+        raw = base_raw(
+            corpus={"path": str(path)}, transport=transport_kind,
+            strategy={"mode": mode, "num_clients": 2},
+        )
+        summary, _ = run_train(config_from_dict(raw), tmp_path / mode)
+        assert summary["payload"]["num_records"] == 2 * raw["training"]["steps"]
+        records = [json.loads(line) for line in (tmp_path / mode / "records.jsonl").open()]
+        assert [(r["step"], r["client_id"]) for r in records] == [
+            (s, c) for s in range(raw["training"]["steps"]) for c in (0, 1)
+        ]
+        assert all(np.isfinite(r["loss"]) for r in records)
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,12 @@ def test_copy_trained_model_prefers_the_echo_answer():
     trained = mono.state_dict()
     front, middle, back = build_partitioned(CFG, PART, seed=6)
     for segment in (front, middle, back):
-        segment.load_adapter_state(trained)
+        segment.load_state_dict(trained, subset=True)
     with InferenceStack(front, middle, back) as stack:
         echo_score = score_multi_token(stack.session, list(item.prompt), echo)
     front, middle, back = build_partitioned(CFG, PART, seed=6)
     for segment in (front, middle, back):
-        segment.load_adapter_state(trained)
+        segment.load_state_dict(trained, subset=True)
     with InferenceStack(front, middle, back) as stack:
         random_score = score_multi_token(stack.session, list(item.prompt), random_answer)
     assert echo_score > random_score + 1.0

@@ -601,16 +601,46 @@ def test_grad_accumulates_across_consumers():
     np.testing.assert_allclose(x.grad, [5.0, 7.0], atol=1e-15)
 
 
+def test_causal_mask_rejects_bad_pads():
+    with pytest.raises(ShapeError):
+        causal_mask(2, 4, [0])
+    for pad in (-1, 4):
+        with pytest.raises(ShapeError):
+            causal_mask(1, 4, [pad])
+    # a cached pass: the pad bound is the key length, not the query count
+    assert causal_mask(1, 4, 2, positions=[3]).tolist() == [[[False, False, True, True]]]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     batch=st.integers(1, 3),
     seq=st.integers(2, 6),
+    past=st.integers(0, 4),
     data=st.data(),
 )
-def test_causal_mask_property(batch, seq, data):
+def test_causal_mask_property(batch, seq, past, data):
     pads = data.draw(st.lists(st.integers(0, seq - 1), min_size=batch, max_size=batch))
     mask = causal_mask(batch, seq, pads)
     for b in range(batch):
         for i in range(seq):
             for j in range(seq):
                 assert mask[b, i, j] == (pads[b] <= j <= i)
+
+    # a pass over a cached history: fewer queries than keys, at the last
+    # positions (a cached prefill, or a single decode row when queries == 1)
+    key_len = past + seq
+    queries = data.draw(st.integers(1, seq))
+    positions = list(range(key_len - queries, key_len))
+    mask = causal_mask(batch, key_len, pads, positions)
+    assert mask.dtype == bool and mask.shape == (batch, queries, key_len)
+    for b in range(batch):
+        for i, p in enumerate(positions):
+            for j in range(key_len):
+                assert mask[b, i, j] == (pads[b] <= j <= p)
+    # the formula SegmentModel used before it called causal_mask
+    pos = np.asarray(positions, dtype=np.int64)
+    j = np.arange(key_len)
+    old = (j[None, None, :] <= pos[None, :, None]) & (
+        j[None, None, :] >= np.asarray(pads)[:, None, None]
+    )
+    assert mask.tobytes() == old.tobytes()
