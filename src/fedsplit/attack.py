@@ -373,31 +373,3 @@ def run_attack(
         frame_log=frame_log,
     )
 
-
-def attack_grid(
-    config: ModelConfig,
-    corpora: Sequence[ToyCorpus],
-    heldout: ToyCorpus,
-    steps: int,
-    depths: Sequence[int] = (1, 2, 3),
-    noise_scales: Sequence[float] = (0.0, 0.02, 0.05),
-    attacker: AttackerConfig = AttackerConfig(),
-    **kwargs,
-) -> list[AttackReport]:
-    """Sweep (cut depth, noise scale) and collect one report per cell."""
-    reports = []
-    for depth in depths:
-        for scale in noise_scales:
-            cfg = AttackerConfig(
-                depth=depth,
-                lr=attacker.lr,
-                replay_epochs=attacker.replay_epochs,
-                seed=attacker.seed,
-            )
-            noise = NoiseConfig(scale, "forward_hidden", seed=71) if scale > 0 else None
-            reports.append(
-                run_attack(
-                    config, corpora, heldout, steps, attacker=cfg, noise=noise, **kwargs
-                )
-            )
-    return reports

@@ -52,8 +52,10 @@ class ToyCorpus:
             if not item.prompt:
                 raise ConfigError(f"item {i} has an empty prompt")
             ids = item.full_sequence() + (item.candidates or ())
-            if any(t < 0 or t >= self.vocab_size for t in ids):
-                raise ConfigError(f"item {i} has token ids outside vocab {self.vocab_size}")
+            if any(type(t) is not int or not 0 <= t < self.vocab_size for t in ids):
+                raise ConfigError(
+                    f"item {i} has token ids that are not integers inside vocab {self.vocab_size}"
+                )
 
     def save(self, path) -> None:
         payload = {
@@ -75,22 +77,30 @@ class ToyCorpus:
 
     @staticmethod
     def load(path) -> "ToyCorpus":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("schema_version") != CORPUS_SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported corpus schema version {payload.get('schema_version')!r}"
-            )
-        items = [
-            CorpusItem(
-                tuple(it["prompt"]),
-                tuple(it["answer"]),
-                tuple(it["candidates"]) if it.get("candidates") is not None else None,
-            )
-            for it in payload["items"]
-        ]
-        corpus = ToyCorpus(items, payload["vocab_size"], payload["task"], payload["seed"])
-        corpus.validate()
+        """Read a file written by ``save``; malformed content raises ``ConfigError``."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"corpus file {path} is not JSON: {exc}") from None
+        version = payload.get("schema_version") if isinstance(payload, dict) else None
+        if version != CORPUS_SCHEMA_VERSION:
+            raise ConfigError(f"unsupported corpus schema version {version!r}")
+        try:
+            items = [
+                CorpusItem(
+                    tuple(it["prompt"]),
+                    tuple(it["answer"]),
+                    tuple(it["candidates"]) if it.get("candidates") is not None else None,
+                )
+                for it in payload["items"]
+            ]
+            corpus = ToyCorpus(items, payload["vocab_size"], payload["task"], payload["seed"])
+            corpus.validate()
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"corpus file {path} is malformed: {exc!r}") from None
+        if not items:
+            raise ConfigError(f"corpus file {path} has no items")
         return corpus
 
 
@@ -189,7 +199,7 @@ def shard_corpus(corpus: ToyCorpus, num_shards: int) -> list[ToyCorpus]:
 # batching
 
 
-def batch_from_items(items: Sequence[CorpusItem], pad_to: int | None = None) -> Batch:
+def batch_from_items(items: Sequence[CorpusItem]) -> Batch:
     """Left-pad items to one width; supervise only answer positions.
 
     Inputs are the sequence minus its last token; target at position ``i`` is
@@ -198,10 +208,6 @@ def batch_from_items(items: Sequence[CorpusItem], pad_to: int | None = None) -> 
     if not items:
         raise ShapeError("cannot build an empty batch")
     width = max(len(it.full_sequence()) - 1 for it in items)
-    if pad_to is not None:
-        if pad_to < width:
-            raise ShapeError(f"pad_to {pad_to} shorter than longest item {width}")
-        width = pad_to
     tokens = np.full((len(items), width), PAD_ID, dtype=np.int64)
     targets = np.full((len(items), width), IGNORE_INDEX, dtype=np.int64)
     pads = []

@@ -44,14 +44,13 @@ from .strategies import (
     build_shared_trunk_session,
 )
 from .training import NoiseConfig, SequentialTrainer, TrainingServer
-from .wire import MaskMeta
+from .wire import CommStats, MaskMeta
 
 ENV_ENDPOINT = "FEDSPLIT_ENDPOINT"
 ENV_OUTPUT_DIR = "FEDSPLIT_OUTPUT_DIR"
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
-_COUNTER_KEYS = ("sent_count", "sent_bytes", "recv_count", "recv_bytes")
 _schema_cache: dict[str, jsonschema.Draft202012Validator] = {}
 
 
@@ -433,30 +432,6 @@ def _prepare_output_dir(cfg: ExperimentConfig, override=None) -> Path:
     return out
 
 
-def _zero_stats() -> dict:
-    return {
-        "classes": {
-            name: dict.fromkeys(_COUNTER_KEYS, 0)
-            for name in ("hidden_state", "grad", "cache_step")
-        },
-        "totals": dict.fromkeys(_COUNTER_KEYS, 0),
-        "round_trips": 0,
-    }
-
-
-def sum_stats(snapshots) -> dict:
-    """Add per-channel CommStats snapshots into one run-level snapshot."""
-    total = _zero_stats()
-    for snap in snapshots:
-        for name, vals in snap["classes"].items():
-            for key in _COUNTER_KEYS:
-                total["classes"][name][key] += vals[key]
-        for key in _COUNTER_KEYS:
-            total["totals"][key] += snap["totals"][key]
-        total["round_trips"] += snap["round_trips"]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -499,7 +474,7 @@ def _run_training(cfg: ExperimentConfig, partition: PartitionSpec, steps: int, s
             )
     with trainer:
         records = trainer.run(batch_source, steps, sink=sink)
-    stats = sum_stats(ch.stats.snapshot() for ch in channels)
+    stats = CommStats.sum(ch.stats.snapshot() for ch in channels)
     return records, trainer.merge_log, stats, (clients[0].front, middle, clients[0].back)
 
 

@@ -309,10 +309,11 @@ class GenerationSession:
             raise ContextOverflowError(
                 f"decode position {position} exceeds max context {self.max_context}"
             )
-        self.tokens.append(int(last_token))
+        (token,) = self._check_prompt([last_token])
+        self.tokens.append(token)
         if not self.use_cache:
             return self._exchange_prefix()
-        ids = np.asarray([[int(last_token)]])
+        ids = np.asarray([[token]])
         with T.no_grad():
             h = self.front.forward(ids, positions=[position], cache=self.front_cache)
         msg = CacheStepMsg(

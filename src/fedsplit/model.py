@@ -407,13 +407,12 @@ class SegmentModel:
             if n.endswith(("lora_a", "lora_b"))
         }
 
-    def collect_grads(self, zero: bool = True) -> dict[str, np.ndarray]:
+    def collect_grads(self) -> dict[str, np.ndarray]:
         grads: dict[str, np.ndarray] = {}
         for name, p in self.trainable_parameters().items():
             if p.grad is not None:
                 grads[name] = p.grad
-                if zero:
-                    p.grad = None
+                p.grad = None
         return grads
 
     def state_dict(self) -> dict[str, np.ndarray]:

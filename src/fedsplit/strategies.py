@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,46 +84,18 @@ class StrategyConfig:
 # barrier
 
 
-@dataclass
-class BarrierState:
-    """Accumulates one message per expected client before a batched phase."""
-
-    expected: tuple[int, ...]
-    pending: dict = field(default_factory=dict)
-    arrival_order: list = field(default_factory=list)
-
-    def add(self, msg) -> None:
-        cid = msg.client_id
-        if cid not in self.expected:
-            raise ProtocolError(f"message from unexpected client {cid}")
-        if cid in self.pending:
-            raise ProtocolError(f"client {cid} sent twice within one barrier")
-        self.pending[cid] = msg
-        self.arrival_order.append(cid)
-
-    @property
-    def released(self) -> bool:
-        return len(self.pending) == len(self.expected)
-
-    def take(self) -> list:
-        """The collected messages in client-id order; valid once released."""
-        if not self.released:
-            missing = sorted(set(self.expected) - set(self.pending))
-            raise ProtocolError(f"barrier not released; waiting on clients {missing}")
-        return [self.pending[cid] for cid in sorted(self.expected)]
-
-
-def collect_barrier(channels: dict[int, MessageChannel], timeout: float) -> BarrierState:
-    """Receive one message from every client channel.
+def collect_barrier(channels: dict[int, MessageChannel], timeout: float) -> list:
+    """Receive one message from every client channel, in client-id order.
 
     Waits on the channels in client-id order; each receive blocks until that
     client's message is queued, so the outcome is independent of true arrival
     order. A client silent past the shared deadline raises a barrier timeout
-    naming it.
+    naming it, and a channel that delivers another client's message raises a
+    protocol error.
     """
-    state = BarrierState(tuple(sorted(channels)))
+    msgs = []
     deadline = time.monotonic() + timeout
-    for cid in state.expected:
+    for cid in sorted(channels):
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise BarrierTimeoutError(f"client {cid} missed the barrier after {timeout}s")
@@ -139,8 +111,8 @@ def collect_barrier(channels: dict[int, MessageChannel], timeout: float) -> Barr
             raise ProtocolError(
                 f"channel for client {cid} delivered a message from client {msg.client_id}"
             )
-        state.add(msg)
-    return state
+        msgs.append(msg)
+    return msgs
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +194,10 @@ class ClientBatchTrainer(Trainer):
             t.start()
         try:
             forward = collect_barrier(self.channels, self.barrier_timeout)
-            for reply in self.server.batch_forward(forward.take()):
+            for reply in self.server.batch_forward(forward):
                 self.channels[reply.client_id].send(reply)
             backward = collect_barrier(self.channels, self.barrier_timeout)
-            for reply in self.server.batch_backward(backward.take()):
+            for reply in self.server.batch_backward(backward):
                 self.channels[reply.client_id].send(reply)
         except Exception:
             for ch in self.channels.values():
@@ -468,9 +440,8 @@ def build_hierarchical_session(
     record_frames: bool = False,
 ) -> tuple[SegmentModel, list[TrainingClient], list[TrainingServer], list[MessageChannel]]:
     """A central trunk plus one fully private pipeline per client."""
-    front, central, back = build_partitioned(config, partition, lora, seed)
-    clients, server_channels = build_clients(
-        front, back, num_clients, lr, noise, transport, record_frames
+    clients, central, server_channels = build_shared_trunk_session(
+        config, partition, num_clients, lr, lora, seed, noise, transport, record_frames
     )
     sub_servers = [TrainingServer(central.clone(), lr) for _ in range(num_clients)]
     return central, clients, sub_servers, server_channels

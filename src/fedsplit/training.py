@@ -31,7 +31,7 @@ from .model import (
 )
 from .tensor import Tensor, reshape, softmax_cross_entropy
 from .transport import MessageChannel, channel_pair, serve_channel
-from .wire import CacheStepMsg, CommStats, GradMsg, HiddenStateMsg, MaskMeta
+from .wire import CommStats, GradMsg, HiddenStateMsg, MaskMeta
 
 IGNORE_INDEX = -1
 
@@ -165,65 +165,52 @@ class TrainingClient:
         self.noise = NoiseSource(noise or NoiseConfig(scale=0.0, target="none"))
         self._step_count = 0
 
-    def next_step_id(self) -> int:
-        sid = self._step_count
+    def train_step(self, batch: Batch, step: int) -> TrainStepRecord:
+        """One full four-hop relay against the connected server.
+
+        Front forward and ship the hidden states; back forward, loss and
+        local backward on the reply, ship the gradient at the back's input;
+        front backward from the returned gradient; then an SGD step on each
+        end's adapters.
+        """
+        before = self.channel.stats.snapshot()
+        step_id = self._step_count
         self._step_count += 1
-        return sid
-
-    # -- four-hop relay, split into halves so batch strategies can interleave
-
-    def begin_step(self, batch: Batch, step_id: int) -> HiddenStateMsg:
-        """Front forward; returns the hidden-state message to ship."""
-        h = self.front.forward(batch.tokens, pad_lens=batch.pad_lens)
-        payload = h.data
+        hidden = self.front.forward(batch.tokens, pad_lens=batch.pad_lens).data
         if self.noise.cfg.target == "forward_hidden":
-            payload = inject_noise(payload, self.noise)
-        return HiddenStateMsg(
-            payload,
-            batch.mask_meta,
-            tuple(range(batch.tokens.shape[1])),
-            step_id=step_id,
-            client_id=self.client_id,
+            hidden = inject_noise(hidden, self.noise)
+        reply = self.channel.request(
+            HiddenStateMsg(
+                hidden,
+                batch.mask_meta,
+                tuple(range(batch.tokens.shape[1])),
+                step_id=step_id,
+                client_id=self.client_id,
+            )
         )
-
-    def middle_done(self, reply: HiddenStateMsg, batch: Batch, step_id: int) -> tuple[GradMsg, float]:
-        """Back forward + local backward; returns the relay gradient and loss."""
         if reply.step_id != step_id or reply.client_id != self.client_id:
             raise ProtocolError(
                 f"server replied for step ({reply.client_id}, {reply.step_id}), "
                 f"expected ({self.client_id}, {step_id})"
             )
         logits = self.back.forward(reply.payload, pad_lens=batch.pad_lens)
-        loss, _ = sequence_loss(logits, batch.targets)
+        loss = sequence_loss(logits, batch.targets)[0]
+        del logits  # so the backward frees the back's tape before the relay's wait
         loss.backward()
         relay = self.back.take_input_grad()
         if self.noise.cfg.target == "backward_grad":
             relay = inject_noise(relay, self.noise)
-        return GradMsg(relay, step_id=step_id, client_id=self.client_id), float(loss.data)
-
-    def finish_step(self, grad_reply: GradMsg, step_id: int) -> dict[str, float]:
-        """Front backward from the relayed gradient, then adapter updates."""
+        grad_reply = self.channel.request(GradMsg(relay, step_id=step_id, client_id=self.client_id))
         if grad_reply.step_id != step_id or grad_reply.client_id != self.client_id:
             raise ProtocolError("gradient reply does not match the in-flight step")
         self.front.backward(grad_reply.payload)
-        front_grads = self.front.collect_grads()
-        back_grads = self.back.collect_grads()
-        norms = {"front": grad_norm(front_grads), "back": grad_norm(back_grads)}
-        apply_sgd_step(self.front.trainable_parameters(), front_grads, self.lr)
-        apply_sgd_step(self.back.trainable_parameters(), back_grads, self.lr)
-        return norms
-
-    def train_step(self, batch: Batch, step: int) -> TrainStepRecord:
-        """One full relay against the connected server."""
-        before = self.channel.stats.snapshot()
-        step_id = self.next_step_id()
-        forward_msg = self.begin_step(batch, step_id)
-        reply = self.channel.request(forward_msg)
-        grad_msg, loss = self.middle_done(reply, batch, step_id)
-        grad_reply = self.channel.request(grad_msg)
-        norms = self.finish_step(grad_reply, step_id)
+        norms = {}
+        for name, segment in (("front", self.front), ("back", self.back)):
+            grads = segment.collect_grads()
+            norms[name] = grad_norm(grads)
+            apply_sgd_step(segment.trainable_parameters(), grads, self.lr)
         comm = CommStats.delta(self.channel.stats.snapshot(), before)
-        return TrainStepRecord(step, self.client_id, loss, norms, comm)
+        return TrainStepRecord(step, self.client_id, float(loss.data), norms, comm)
 
 
 class TrainingServer:
@@ -257,8 +244,6 @@ class TrainingServer:
             return self.batch_forward([msg])[0]
         if isinstance(msg, GradMsg):
             return self.batch_backward([msg])[0]
-        if isinstance(msg, CacheStepMsg):
-            raise ProtocolError("cache-step message sent to a training server")
         raise ProtocolError(f"unexpected message type {type(msg).__name__}")
 
     def observe(self, msg) -> None:
@@ -547,7 +532,7 @@ def noise_gradient_propagation_check(
         loss, _ = sequence_loss(logits, targets)
         loss.backward()
         tail.discard_pending()
-        grads = tail.collect_grads(zero=True)
+        grads = tail.collect_grads()
         return grads[target_name]
 
     g_clean = weight_grad(h_clean)
@@ -586,11 +571,8 @@ def connect_pair(
     lr: float,
     noise: NoiseConfig | None = None,
     transport: str = "loopback",
-    server: TrainingServer | None = None,
 ) -> tuple[TrainingClient, TrainingServer, MessageChannel]:
-    """Wire one client and (optionally shared) server over a fresh channel."""
+    """Wire one client and its own server over a fresh channel."""
     server_channel, client_channel = channel_pair(transport)
-    if server is None:
-        server = TrainingServer(middle, lr)
     client = TrainingClient(client_id, front, back, client_channel, lr, noise)
-    return client, server, server_channel
+    return client, TrainingServer(middle, lr), server_channel

@@ -18,9 +18,12 @@ uniform-pad encoding is exactly 24 bytes regardless of how large the dense
 
 from __future__ import annotations
 
+import functools
+import operator
 import struct
 import threading
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -342,8 +345,9 @@ def decode_message(frame: bytes) -> Message:
 class CommStats:
     """Thread-safe per-message-class traffic counters.
 
-    Counters only ever increase; ``snapshot`` returns a plain dict and
-    ``delta`` subtracts an earlier snapshot for per-step reporting.
+    Counters only ever increase; ``snapshot`` returns a plain dict,
+    ``delta`` subtracts an earlier snapshot for per-step reporting and
+    ``sum`` adds the snapshots of several channels for run-level reporting.
     """
 
     def __init__(self):
@@ -382,14 +386,24 @@ class CommStats:
             return {"classes": out, "totals": totals, "round_trips": self._round_trips}
 
     @staticmethod
-    def delta(later: dict, earlier: dict) -> dict:
-        classes = {}
-        for name, vals in later["classes"].items():
-            prev = earlier["classes"][name]
-            classes[name] = {k: vals[k] - prev[k] for k in vals}
-        totals = {k: later["totals"][k] - earlier["totals"][k] for k in later["totals"]}
+    def _combine(a: dict, b: dict, op) -> dict:
         return {
-            "classes": classes,
-            "totals": totals,
-            "round_trips": later["round_trips"] - earlier["round_trips"],
+            "classes": {
+                name: {k: op(vals[k], b["classes"][name][k]) for k in vals}
+                for name, vals in a["classes"].items()
+            },
+            "totals": {k: op(a["totals"][k], b["totals"][k]) for k in a["totals"]},
+            "round_trips": op(a["round_trips"], b["round_trips"]),
         }
+
+    @staticmethod
+    def delta(later: dict, earlier: dict) -> dict:
+        """Counters accrued between two snapshots of one channel."""
+        return CommStats._combine(later, earlier, operator.sub)
+
+    @staticmethod
+    def sum(snapshots: Iterable[dict]) -> dict:
+        """Snapshots of several channels added into one."""
+        return functools.reduce(
+            lambda a, b: CommStats._combine(a, b, operator.add), snapshots, CommStats().snapshot()
+        )

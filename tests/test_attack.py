@@ -10,7 +10,6 @@ import fedsplit.tensor as T
 from fedsplit.attack import (
     AttackerConfig,
     AttackObserver,
-    attack_grid,
     bleu4,
     build_split_for_depth,
     evaluate_reconstruction,
@@ -401,28 +400,6 @@ def test_disabled_attack_reports_no_metrics():
     assert len(rep.honest_losses) == 2
 
 
-def test_attack_grid_covers_depth_noise_plane():
-    shards = shard_corpus(small_corpus(), 3)
-    reports = attack_grid(
-        CFG,
-        shards[:2],
-        shards[2],
-        steps=2,
-        depths=(1, 2),
-        noise_scales=(0.0, 0.02),
-        attacker=AttackerConfig(lr=0.2, replay_epochs=0),
-        lr=1e-4,
-        batch_size=4,
-        seed=3,
-    )
-    assert [(r.depth, r.noise_scale) for r in reports] == [
-        (1, 0.0),
-        (1, 0.02),
-        (2, 0.0),
-        (2, 0.02),
-    ]
-
-
 def test_security_ordering_embedding_cut_versus_deep_cuts():
     # the headline qualitative result: an embedding-level cut leaks nearly
     # everything, while one or more blocks plus noise hide nearly everything
@@ -437,18 +414,20 @@ def test_security_ordering_embedding_cut_versus_deep_cuts():
         batch_size=4,
         seed=3,
     )
-    deep = attack_grid(
-        CFG,
-        shards[:2],
-        shards[2],
-        steps=8,
-        depths=(1, 2, 3),
-        noise_scales=(0.02,),
-        attacker=AttackerConfig(lr=0.2, replay_epochs=20),
-        lr=1e-4,
-        batch_size=4,
-        seed=3,
-    )
+    deep = [
+        run_attack(
+            CFG,
+            shards[:2],
+            shards[2],
+            steps=8,
+            attacker=AttackerConfig(depth=depth, lr=0.2, replay_epochs=20),
+            lr=1e-4,
+            batch_size=4,
+            noise=NoiseConfig(0.02, "forward_hidden", seed=71),
+            seed=3,
+        )
+        for depth in (1, 2, 3)
+    ]
     for rep in deep:
         assert rep.token_accuracy < 0.5 * base.token_accuracy, (
             f"depth {rep.depth} leaked {rep.token_accuracy:.3f} "

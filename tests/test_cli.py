@@ -51,6 +51,14 @@ def test_invalid_config_exits_2(tmp_path):
     assert cli.main(["train", "-c", str(path)]) == 2
 
 
+def test_malformed_corpus_file_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text("not json {")
+    cfg = write_config(tmp_path, corpus={"path": str(corpus)})
+    assert cli.main(["train", "-c", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+    assert "corpus file" in capsys.readouterr().err
+
+
 def test_check_loss_ratio_exit_codes(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "out")

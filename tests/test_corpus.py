@@ -17,7 +17,7 @@ from fedsplit.corpus import (
     make_lm_corpus,
     shard_corpus,
 )
-from fedsplit.errors import ConfigError, ShapeError
+from fedsplit.errors import ConfigError
 from fedsplit.training import IGNORE_INDEX
 
 
@@ -49,15 +49,6 @@ def test_batch_left_pads_to_common_width():
     assert np.all(batch.targets[0, :4] == IGNORE_INDEX)
     meta = batch.mask_meta
     assert meta.pads == (4, 0)
-
-
-def test_batch_pad_to_fixed_width():
-    item = CorpusItem(prompt=(BOS_ID, 5, SEP_ID), answer=(5, STOP_ID))
-    batch = batch_from_items([item], pad_to=10)
-    assert batch.tokens.shape == (1, 10)
-    assert batch.pad_lens == (6,)
-    with pytest.raises(ShapeError):
-        batch_from_items([item], pad_to=2)
 
 
 def test_sampler_is_deterministic_and_stateless():
@@ -105,11 +96,28 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.items == corpus.items
 
 
+HEADER = '"schema_version": 1, "task": "lm", "vocab_size": 32, "seed": 0'
+
+
 def test_load_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"schema_version": 99, "items": []}')
-    with pytest.raises(ConfigError):
-        ToyCorpus.load(path)
+    for text in (
+        '{"schema_version": 99, "items": []}',
+        "not json {",
+        "[1, 2, 3]",
+        "{" + HEADER + "}",
+        "{" + HEADER + ', "items": []}',
+        "{" + HEADER + ', "items": [{"prompt": [1, "5", 2], "answer": [5, 3]}]}',
+        "{" + HEADER + ', "items": [{"prompt": [1, 5.5, 2], "answer": [5, 3]}]}',
+        "{" + HEADER + ', "items": [{"prompt": [1, 5, 2]}]}',
+        "{" + HEADER + ', "items": [[1, 5, 2]]}',
+        "{" + HEADER.replace("32", '"32"') + ', "items": [{"prompt": [1], "answer": [3]}]}',
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            ToyCorpus.load(path)
+    path.write_text("{" + HEADER + ', "items": [{"prompt": [1, 5, 2], "answer": [5, 3]}]}')
+    assert len(ToyCorpus.load(path)) == 1
 
 
 def test_validate_rejects_out_of_vocab():

@@ -226,6 +226,22 @@ def test_decode_extends_caches_by_one_on_both_sides():
             assert stack.server.session_length(stack.session.session_id) == expected
 
 
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_rejected_decode_token_leaves_the_session_usable(transport, use_cache):
+    prompt = random_prompt(np.random.default_rng(6), 5)
+    with build_stack(transport=transport, use_cache=use_cache) as fresh:
+        fresh.session.prefill(prompt)
+        expected = fresh.session.decode_step(7)
+    with build_stack(transport=transport, use_cache=use_cache) as stack:
+        stack.session.prefill(prompt)
+        for bad in (CFG.vocab_size, -1):
+            with pytest.raises(ShapeError):
+                stack.session.decode_step(bad)
+        assert stack.session.tokens == prompt
+        np.testing.assert_array_equal(stack.session.decode_step(7), expected)
+
+
 def test_cached_greedy_matches_uncached_token_for_token():
     rng = np.random.default_rng(5)
     cfg = GenerationConfig(max_new_tokens=16)

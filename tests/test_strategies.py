@@ -16,7 +16,6 @@ from fedsplit.errors import (
 )
 from fedsplit.model import ModelConfig, PartitionSpec, build_partitioned
 from fedsplit.strategies import (
-    BarrierState,
     ClientBatchServer,
     ClientBatchTrainer,
     HierarchicalTrainer,
@@ -94,30 +93,6 @@ def test_strategy_config_validation():
     assert cfg.merge_weights == (1.0, 3.0)
 
 
-def test_barrier_state_releases_only_when_full():
-    state = BarrierState((0, 1, 2))
-    msgs = hidden_msgs(3)
-    state.add(msgs[2])
-    state.add(msgs[0])
-    assert not state.released
-    with pytest.raises(ProtocolError):
-        state.take()
-    state.add(msgs[1])
-    assert state.released
-    assert state.arrival_order == [2, 0, 1]
-    assert [m.client_id for m in state.take()] == [0, 1, 2]
-
-
-def test_barrier_state_rejects_duplicates_and_strangers():
-    state = BarrierState((0, 1))
-    msgs = hidden_msgs(3)
-    state.add(msgs[0])
-    with pytest.raises(ProtocolError):
-        state.add(msgs[0])
-    with pytest.raises(ProtocolError):
-        state.add(msgs[2])
-
-
 def test_collect_barrier_times_out_naming_the_silent_client():
     server0, client0 = LoopbackChannel.pair()
     server1, _client1 = LoopbackChannel.pair()
@@ -134,8 +109,18 @@ def test_collect_barrier_is_arrival_order_independent():
     msgs = hidden_msgs(2)
     MessageChannel(client1).send(msgs[1])
     MessageChannel(client0).send(msgs[0])
-    state = collect_barrier(channels, timeout=1.0)
-    assert [m.client_id for m in state.take()] == [0, 1]
+    assert [m.client_id for m in collect_barrier(channels, timeout=1.0)] == [0, 1]
+
+
+def test_collect_barrier_rejects_a_message_stamped_with_another_client():
+    server0, client0 = LoopbackChannel.pair()
+    server1, client1 = LoopbackChannel.pair()
+    channels = {0: MessageChannel(server0), 1: MessageChannel(server1)}
+    msgs = hidden_msgs(2)
+    MessageChannel(client0).send(msgs[0])
+    MessageChannel(client1).send(msgs[0])
+    with pytest.raises(ProtocolError, match="channel for client 1 delivered a message from client 0"):
+        collect_barrier(channels, timeout=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +316,7 @@ def test_client_batch_barrier_timeout_when_a_client_stalls():
     sampler = sampler_for()
 
     stalled = clients[1]
-    stalled.begin_step = lambda batch, step_id: (_ for _ in ()).throw(RuntimeError("down"))
+    stalled.front.forward = lambda *args, **kwargs: (_ for _ in ()).throw(RuntimeError("down"))
     try:
         with pytest.raises((BarrierTimeoutError, RuntimeError)):
             trainer.run_round([sampler.batch_for(0), sampler.batch_for(0)], 0)

@@ -20,7 +20,6 @@ from fedsplit.training import (
     NoiseConfig,
     NoiseSource,
     SequentialTrainer,
-    TrainingClient,
     TrainingServer,
     connect_pair,
     inject_noise,
@@ -28,7 +27,6 @@ from fedsplit.training import (
     sequence_loss,
     train_monolithic,
 )
-from fedsplit.transport import LoopbackChannel, MessageChannel
 from fedsplit.wire import CacheStepMsg, GradMsg, HiddenStateMsg, MaskMeta
 
 CFG = ModelConfig(vocab_size=32, hidden_size=16, num_heads=2, num_blocks=4, mlp_hidden=24)
@@ -263,16 +261,9 @@ def test_degenerate_batch_raises():
         targets=np.full((1, 3), IGNORE_INDEX),
         pad_lens=(0,),
     )
-    front, middle, back = build_partitioned(CFG, PART, seed=11)
-    a, b = LoopbackChannel.pair()
-    client = TrainingClient(0, front, back, MessageChannel(b), lr=0.1)
-    server = TrainingServer(middle, lr=0.1)
-    server_channel = MessageChannel(a)
-
-    msg = client.begin_step(batch, 0)
-    reply = server.handle(msg)
-    with pytest.raises(DegenerateBatchError):
-        client.middle_done(reply, batch, 0)
+    with make_session(seed=11) as trainer:
+        with pytest.raises(DegenerateBatchError):
+            trainer.clients[0].train_step(batch, step=0)
 
 
 def test_sequence_loss_validates_shapes():
