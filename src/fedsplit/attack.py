@@ -15,14 +15,14 @@ and bit-identical honest training to a run without it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import exp
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import BatchSampler, CorpusItem, ToyCorpus
+from .corpus import CorpusItem, ToyCorpus, client_samplers
 from .errors import ConfigError, UndefinedMetricError
 from .model import (
     LoraConfig,
@@ -30,7 +30,7 @@ from .model import (
     SegmentModel,
     apply_sgd_step,
     build_decoder_probe,
-    init_parameter_set,
+    cut_segments,
 )
 from .strategies import build_clients
 from .training import (
@@ -40,7 +40,7 @@ from .training import (
     SequentialTrainer,
     TrainingServer,
     inject_noise,
-    sequence_loss,
+    local_loss_step,
 )
 from .wire import HiddenStateMsg
 
@@ -167,13 +167,9 @@ class AttackObserver:
         targets = np.array(tokens)
         for row, pad in enumerate(pads):
             targets[row, :pad] = IGNORE_INDEX
-        logits = self.decoder.forward(normalize_hidden(hidden), pad_lens=pads)
-        loss, _ = sequence_loss(logits, targets)
-        loss.backward()
-        self.decoder.discard_pending()
-        grads = self.decoder.collect_grads()
+        loss, grads = local_loss_step(self.decoder, normalize_hidden(hidden), targets, pads)
         apply_sgd_step(self.decoder.trainable_parameters(), grads, self.lr)
-        self.losses.append(float(loss.data))
+        self.losses.append(loss)
 
     def replay(self, epochs: int, seed: int = 0) -> None:
         """Extra offline passes over the captured pairs, shuffled per epoch."""
@@ -242,8 +238,8 @@ def evaluate_reconstruction(
     if not seq:
         raise ConfigError("reconstruction evaluation needs at least one item")
     source = None
-    if noise is not None and noise.target == "forward_hidden" and noise.scale > 0:
-        source = NoiseSource(NoiseConfig(noise.scale, "forward_hidden", noise_seed))
+    if noise is not None and noise.target == "forward_hidden":
+        source = NoiseSource(replace(noise, seed=noise_seed))
     accuracies, bleus, rouges = [], [], []
     for item in seq:
         truth = list(item.full_sequence())[:-1]
@@ -276,11 +272,7 @@ def build_split_for_depth(
         raise ConfigError(
             f"cut depth {depth} leaves no trunk in a {config.num_blocks}-block model"
         )
-    params = init_parameter_set(config, lora, seed)
-    front = SegmentModel("front", config, lora, params, 0, depth)
-    middle = SegmentModel("middle", config, lora, params, depth, config.num_blocks - depth - 1)
-    back = SegmentModel("back", config, lora, params, config.num_blocks - 1, 1)
-    return front, middle, back
+    return cut_segments(config, lora, seed, depth, config.num_blocks - depth - 1)
 
 
 def run_attack(
@@ -312,7 +304,6 @@ def run_attack(
     front, middle, back = build_split_for_depth(config, attacker.depth, lora, seed)
     malicious_id, honest_id = 0, 1
 
-    decoder = None
     observer = None
     if attack_enabled:
         decoder = build_decoder_probe(config, attacker.depth, attacker.seed)
@@ -323,10 +314,7 @@ def run_attack(
     )
     server = TrainingServer(middle, lr, observer=observer)
 
-    samplers = {
-        cid: BatchSampler(corpus, batch_size, seed=seed + 17 * cid)
-        for cid, corpus in enumerate(corpora)
-    }
+    samplers = client_samplers(corpora, batch_size, seed)
 
     def source(cid: int, round_index: int):
         batch = samplers[cid].batch_for(round_index)
@@ -337,39 +325,23 @@ def run_attack(
     with SequentialTrainer(clients, server, server_channels) as trainer:
         records = trainer.run(source, rounds=steps)
 
-    honest_losses = [r.loss for r in records if r.client_id == honest_id]
     frame_log: list[bytes] = []
     if record_frames:
         for channel in server_channels:
-            frame_log.extend(channel.recv_log)
-            frame_log.extend(channel.sent_log)
-
-    if not attack_enabled:
-        return AttackReport(
-            depth=attacker.depth,
-            noise_scale=noise.scale if noise else 0.0,
-            token_accuracy=float("nan"),
-            bleu4=float("nan"),
-            rouge2_f1=float("nan"),
-            train_pairs=0,
-            eval_sequences=len(heldout),
-            honest_losses=honest_losses,
-            frame_log=frame_log,
-        )
-
-    if attacker.replay_epochs:
-        observer.replay(attacker.replay_epochs, seed=attacker.seed + 1)
-    honest_front = clients[honest_id].front
-    accuracy, bleu, rouge = evaluate_reconstruction(decoder, honest_front, heldout, noise)
+            frame_log += channel.recv_log + channel.sent_log
+    scores, pairs = (float("nan"),) * 3, 0
+    if observer is not None:
+        if attacker.replay_epochs:
+            observer.replay(attacker.replay_epochs, seed=attacker.seed + 1)
+        scores = evaluate_reconstruction(observer.decoder, clients[honest_id].front, heldout, noise)
+        pairs = len(observer.pairs)
     return AttackReport(
-        depth=attacker.depth,
-        noise_scale=noise.scale if noise else 0.0,
-        token_accuracy=accuracy,
-        bleu4=bleu,
-        rouge2_f1=rouge,
-        train_pairs=len(observer.pairs),
+        attacker.depth,
+        noise.scale if noise else 0.0,
+        *scores,
+        train_pairs=pairs,
         eval_sequences=len(heldout),
-        honest_losses=honest_losses,
+        honest_losses=[r.loss for r in records if r.client_id == honest_id],
         frame_log=frame_log,
     )
 

@@ -244,3 +244,9 @@ class BatchSampler:
         rng = np.random.default_rng((self.seed, step))
         idx = rng.choice(len(self.corpus), size=self.batch_size, replace=False)
         return batch_from_items([self.corpus.items[i] for i in sorted(idx)])
+
+
+def client_samplers(shards: Sequence[ToyCorpus], batch_size: int, seed: int) -> list[BatchSampler]:
+    """One sampler per client shard, indexed by client id. Each client's
+    sampler seed is ``seed`` offset by a fixed stride per client id."""
+    return [BatchSampler(shard, batch_size, seed=seed + 17 * cid) for cid, shard in enumerate(shards)]

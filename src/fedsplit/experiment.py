@@ -25,8 +25,8 @@ import numpy as np
 from . import transport as transport_mod
 from .attack import AttackerConfig, run_attack
 from .corpus import (
-    BatchSampler,
     ToyCorpus,
+    client_samplers,
     make_cloze_corpus,
     make_copy_corpus,
     make_lm_corpus,
@@ -121,7 +121,6 @@ class AttackSection:
     replay_epochs: int = 0
     attacker_seed: int = 101
     enabled: bool = True
-    record_frames: bool = False
 
 
 @dataclass(frozen=True)
@@ -343,8 +342,10 @@ def load_config(path, env: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{ENV_ENDPOINT} port must be an integer, got {port!r}") from None
         if not 0 <= port_num <= 65535:
             raise ConfigError(f"{ENV_ENDPOINT} port must be in 0-65535, got {port_num}")
+    cfg = config_from_dict(raw)
+    if endpoint:  # only a config that validated moves the endpoint
         transport_mod.set_default_endpoint(host, port_num)
-    return config_from_dict(raw)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +447,7 @@ def _run_training(cfg: ExperimentConfig, partition: PartitionSpec, steps: int, s
     """
     corpus = build_corpus(cfg.corpus, cfg.model)
     shards = shard_corpus(corpus, cfg.strategy.num_clients)
-    samplers = [
-        BatchSampler(shard, cfg.training.batch_size, seed=cfg.seed + 17 * cid)
-        for cid, shard in enumerate(shards)
-    ]
+    samplers = client_samplers(shards, cfg.training.batch_size, cfg.seed)
 
     def batch_source(client_id: int, round_index: int):
         return samplers[client_id].batch_for(round_index)
@@ -542,7 +540,7 @@ def _load_adapters(segments, adapters_path) -> None:
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read adapters file {adapters_path}: {exc}") from exc
     for seg in segments:
-        seg.load_state_dict(state, subset=True)
+        seg.load_state_dict(state)
 
 
 def _segments(cfg: ExperimentConfig, segments=None, adapters=None):
@@ -654,7 +652,6 @@ def run_attack_experiment(cfg: ExperimentConfig, output_dir=None):
         lr=cfg.training.lr, batch_size=cfg.training.batch_size,
         noise=cfg.noise, lora=cfg.lora, seed=cfg.seed,
         attack_enabled=cfg.attack.enabled,
-        record_frames=cfg.attack.record_frames,
     )
     return write_report(out / "attack.json", "attack", cfg.seed, report.to_json())
 

@@ -103,9 +103,6 @@ class KVCache:
             raise ProtocolError(f"cache blocks disagree on length: {sorted(lengths)}")
         return lengths.pop()
 
-    def clear(self) -> None:
-        self._entries = [_CacheEntry() for _ in self._entries]
-
 
 @dataclass(frozen=True)
 class GenerationConfig:
@@ -241,14 +238,12 @@ class GenerationSession:
         channel: MessageChannel,
         use_cache: bool = True,
         session_id: int | None = None,
-        client_id: int = 0,
     ):
         self.front = front
         self.back = back
         self.channel = channel
         self.use_cache = use_cache
         self.session_id = next(_SESSION_IDS) if session_id is None else session_id
-        self.client_id = client_id
         self.front_cache = KVCache(len(front.blocks)) if use_cache else None
         self.back_cache = KVCache(len(back.blocks)) if use_cache else None
         self.tokens: list[int] = []
@@ -283,7 +278,7 @@ class GenerationSession:
         with T.no_grad():
             h = self.front.forward(ids, cache=self.front_cache)
         reply = self.channel.request(
-            HiddenStateMsg(h.data, mask, positions, step_id=self.session_id, client_id=self.client_id)
+            HiddenStateMsg(h.data, mask, positions, step_id=self.session_id, client_id=0)
         )
         if reply.step_id != self.session_id:
             raise ProtocolError("prefix reply does not belong to this session")

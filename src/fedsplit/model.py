@@ -418,19 +418,14 @@ class SegmentModel:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {n: p.data.copy() for n, p in self.named_parameters().items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], subset: bool = False) -> None:
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Overwrite parameters in place from ``state``.
 
-        With ``subset=True`` extra names in ``state`` are ignored, so a
-        segment can load its slice of a monolithic checkpoint or of a merged
-        parameter set. Missing names or shape mismatches always fail.
+        Names the segment does not own are ignored, so a segment can load its
+        slice of a monolithic checkpoint or of a merged parameter set.
+        Missing names or shape mismatches fail.
         """
-        named = self.named_parameters()
-        if not subset:
-            extra = set(state) - set(named)
-            if extra:
-                raise CheckpointError(f"checkpoint has unknown parameters: {sorted(extra)[:4]}")
-        for name, p in named.items():
+        for name, p in self.named_parameters().items():
             if name not in state:
                 raise CheckpointError(f"checkpoint is missing parameter {name!r}")
             arr = np.asarray(state[name], dtype=np.float64)
@@ -479,21 +474,29 @@ def build_monolithic(
     return SegmentModel("full", config, lora, params, 0, config.num_blocks)
 
 
+def cut_segments(
+    config: ModelConfig, lora: LoraConfig | None, seed: int, front: int, middle: int
+) -> tuple[SegmentModel, SegmentModel, SegmentModel]:
+    """Front, middle, back segments drawn from one seeded parameter stream:
+    ``front`` blocks, then ``middle`` trunk blocks, then the rest."""
+    params = init_parameter_set(config, lora, seed)
+    cut = front + middle
+    return (
+        SegmentModel("front", config, lora, params, 0, front),
+        SegmentModel("middle", config, lora, params, front, middle),
+        SegmentModel("back", config, lora, params, cut, config.num_blocks - cut),
+    )
+
+
 def build_partitioned(
     config: ModelConfig,
     partition: PartitionSpec,
     lora: LoraConfig | None = LoraConfig(),
     seed: int = 0,
 ) -> tuple[SegmentModel, SegmentModel, SegmentModel]:
-    """Front, middle, back segments drawn from one seeded parameter stream."""
+    """The three segments of ``partition``."""
     partition.validate_for(config)
-    params = init_parameter_set(config, lora, seed)
-    front = SegmentModel("front", config, lora, params, 0, partition.front)
-    middle = SegmentModel("middle", config, lora, params, partition.front, partition.middle)
-    back = SegmentModel(
-        "back", config, lora, params, partition.front + partition.middle, partition.back
-    )
-    return front, middle, back
+    return cut_segments(config, lora, seed, partition.front, partition.middle)
 
 
 def build_decoder_probe(

@@ -185,6 +185,7 @@ class ClientBatchTrainer(Trainer):
                 results[i] = self.clients[i].train_step(batches[i], step=round_index)
             except Exception as exc:
                 failures.append(exc)
+                self.clients[i].channel.close()  # the barrier sees the failure at once
 
         threads = [
             threading.Thread(target=drive, args=(i,), daemon=True)
@@ -200,10 +201,13 @@ class ClientBatchTrainer(Trainer):
             for reply in self.server.batch_backward(backward):
                 self.channels[reply.client_id].send(reply)
         except Exception:
+            cause = failures[:1]  # a client's own error, not what the cleanup below causes
             for ch in self.channels.values():
                 ch.close()
             for t in threads:
                 t.join(timeout=5.0)
+            if cause:
+                raise cause[0] from None
             raise
         for t in threads:
             t.join(timeout=self.barrier_timeout)
@@ -353,15 +357,15 @@ class HierarchicalTrainer(Trainer):
         weights = [p.weight for p in live]
         merged = fedavg_merge([p.server.middle for p in live], weights)
         state = merged.state_dict()
-        self.central.load_state_dict(state, subset=True)
+        self.central.load_state_dict(state)
         for p in live:
-            p.server.middle.load_state_dict(state, subset=True)
+            p.server.middle.load_state_dict(state)
         if self.config.merge_clients:
             front_state = fedavg_merge([p.client.front for p in live], weights).state_dict()
             back_state = fedavg_merge([p.client.back for p in live], weights).state_dict()
             for p in live:
-                p.client.front.load_state_dict(front_state, subset=True)
-                p.client.back.load_state_dict(back_state, subset=True)
+                p.client.front.load_state_dict(front_state)
+                p.client.back.load_state_dict(back_state)
         total = sum(weights)
         record = MergeRecord(
             step=at_step,
@@ -437,11 +441,10 @@ def build_hierarchical_session(
     seed: int = 0,
     noise: NoiseConfig | None = None,
     transport: str = "loopback",
-    record_frames: bool = False,
 ) -> tuple[SegmentModel, list[TrainingClient], list[TrainingServer], list[MessageChannel]]:
     """A central trunk plus one fully private pipeline per client."""
     clients, central, server_channels = build_shared_trunk_session(
-        config, partition, num_clients, lr, lora, seed, noise, transport, record_frames
+        config, partition, num_clients, lr, lora, seed, noise, transport
     )
     sub_servers = [TrainingServer(central.clone(), lr) for _ in range(num_clients)]
     return central, clients, sub_servers, server_channels

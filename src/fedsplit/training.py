@@ -104,6 +104,18 @@ def sequence_loss(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarr
     return loss, grad.reshape(logits.data.shape)
 
 
+def local_loss_step(
+    model: SegmentModel, inputs, targets: np.ndarray, pad_lens: Sequence[int] | int = 0
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Forward, loss and backward through one wholly local model; returns the
+    loss and the collected gradients, which the caller applies."""
+    logits = model.forward(inputs, pad_lens=pad_lens)
+    loss, _ = sequence_loss(logits, targets)
+    loss.backward()
+    model.discard_pending()
+    return float(loss.data), model.collect_grads()
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -163,7 +175,6 @@ class TrainingClient:
         self.channel = channel
         self.lr = lr
         self.noise = NoiseSource(noise or NoiseConfig(scale=0.0, target="none"))
-        self._step_count = 0
 
     def train_step(self, batch: Batch, step: int) -> TrainStepRecord:
         """One full four-hop relay against the connected server.
@@ -171,11 +182,9 @@ class TrainingClient:
         Front forward and ship the hidden states; back forward, loss and
         local backward on the reply, ship the gradient at the back's input;
         front backward from the returned gradient; then an SGD step on each
-        end's adapters.
+        end's adapters. ``step`` is also the step id both messages carry.
         """
         before = self.channel.stats.snapshot()
-        step_id = self._step_count
-        self._step_count += 1
         hidden = self.front.forward(batch.tokens, pad_lens=batch.pad_lens).data
         if self.noise.cfg.target == "forward_hidden":
             hidden = inject_noise(hidden, self.noise)
@@ -184,14 +193,14 @@ class TrainingClient:
                 hidden,
                 batch.mask_meta,
                 tuple(range(batch.tokens.shape[1])),
-                step_id=step_id,
+                step_id=step,
                 client_id=self.client_id,
             )
         )
-        if reply.step_id != step_id or reply.client_id != self.client_id:
+        if reply.step_id != step or reply.client_id != self.client_id:
             raise ProtocolError(
                 f"server replied for step ({reply.client_id}, {reply.step_id}), "
-                f"expected ({self.client_id}, {step_id})"
+                f"expected ({self.client_id}, {step})"
             )
         logits = self.back.forward(reply.payload, pad_lens=batch.pad_lens)
         loss = sequence_loss(logits, batch.targets)[0]
@@ -200,8 +209,8 @@ class TrainingClient:
         relay = self.back.take_input_grad()
         if self.noise.cfg.target == "backward_grad":
             relay = inject_noise(relay, self.noise)
-        grad_reply = self.channel.request(GradMsg(relay, step_id=step_id, client_id=self.client_id))
-        if grad_reply.step_id != step_id or grad_reply.client_id != self.client_id:
+        grad_reply = self.channel.request(GradMsg(relay, step_id=step, client_id=self.client_id))
+        if grad_reply.step_id != step or grad_reply.client_id != self.client_id:
             raise ProtocolError("gradient reply does not match the in-flight step")
         self.front.backward(grad_reply.payload)
         norms = {}
@@ -483,13 +492,9 @@ def train_monolithic(
     losses = []
     for step in range(steps):
         batch = batch_source(step)
-        logits = model.forward(batch.tokens, pad_lens=batch.pad_lens)
-        loss, _ = sequence_loss(logits, batch.targets)
-        loss.backward()
-        model.discard_pending()
-        grads = model.collect_grads()
+        loss, grads = local_loss_step(model, batch.tokens, batch.targets, batch.pad_lens)
         apply_sgd_step(model.trainable_parameters(), grads, lr)
-        losses.append(float(loss.data))
+        losses.append(loss)
     return losses
 
 
@@ -528,12 +533,7 @@ def noise_gradient_propagation_check(
         h_clean = prefix.forward(tokens).data
 
     def weight_grad(hidden: np.ndarray) -> np.ndarray:
-        logits = tail.forward(hidden)
-        loss, _ = sequence_loss(logits, targets)
-        loss.backward()
-        tail.discard_pending()
-        grads = tail.collect_grads()
-        return grads[target_name]
+        return local_loss_step(tail, hidden, targets)[1][target_name]
 
     g_clean = weight_grad(h_clean)
     noise_rng = np.random.default_rng(seed + 2)

@@ -79,16 +79,26 @@ class TcpChannel:
             except OSError as exc:
                 raise ChannelClosedError(f"socket send failed: {exc}") from exc
 
-    def _read_exact(self, n: int, deadline_msg: str) -> bytes:
+    def _read_exact(self, n: int, mid_frame: bool) -> bytes:
+        """Read ``n`` bytes. A timeout before the first byte of a frame leaves
+        the channel usable; one after part of a frame closes it, since the
+        stream cannot resync."""
         chunks = []
         remaining = n
         while remaining:
             try:
                 chunk = self._sock.recv(remaining)
+            except socket.timeout:
+                if not (mid_frame or chunks):
+                    raise ProtocolError(f"recv timed out after {self._sock.gettimeout()}s") from None
+                self.close()
+                raise ChannelClosedError("recv timed out mid-frame; channel closed") from None
             except OSError as exc:
                 raise ChannelClosedError(f"socket recv failed: {exc}") from exc
             if not chunk:
-                raise ChannelClosedError(deadline_msg)
+                raise ChannelClosedError(
+                    "connection closed mid-frame" if mid_frame else "peer closed the connection"
+                )
             chunks.append(chunk)
             remaining -= len(chunk)
         return b"".join(chunks)
@@ -101,19 +111,13 @@ class TcpChannel:
             self._sock.settimeout(timeout)
         except OSError as exc:
             raise ChannelClosedError(f"socket recv failed: {exc}") from exc
-        try:
-            header = self._read_exact(HEADER.size, "peer closed the connection")
-            _, body_len = parse_header(header)
-            if body_len > MAX_FRAME_BODY:
-                raise FrameError(
-                    f"frame announces a {body_len}-byte body, over the "
-                    f"{MAX_FRAME_BODY}-byte limit",
-                    6,
-                )
-            body = self._read_exact(body_len, "connection closed mid-frame")
-        except socket.timeout:
-            raise ProtocolError(f"recv timed out after {timeout}s") from None
-        return header + body
+        header = self._read_exact(HEADER.size, mid_frame=False)
+        _, body_len = parse_header(header)
+        if body_len > MAX_FRAME_BODY:
+            raise FrameError(
+                f"frame announces a {body_len}-byte body, over the {MAX_FRAME_BODY}-byte limit", 6
+            )
+        return header + self._read_exact(body_len, mid_frame=True)
 
     def close(self) -> None:
         if not self._closed:
@@ -160,18 +164,14 @@ def set_default_endpoint(host: str, port: int) -> None:
     DEFAULT_ENDPOINT = (host, int(port))
 
 
-def tcp_pair(host: str | None = None, port: int | None = None) -> tuple[TcpChannel, TcpChannel]:
-    """A connected (server-side, client-side) channel pair.
+def tcp_pair() -> tuple[TcpChannel, TcpChannel]:
+    """A connected (server-side, client-side) channel pair on ``DEFAULT_ENDPOINT``.
 
-    Defaults come from ``DEFAULT_ENDPOINT``; a fixed port works for pairs
-    created one after another, since each listener closes before the next
-    binds.
+    A fixed port works for pairs created one after another, since each
+    listener closes before the next binds.
     """
-    if host is None:
-        host = DEFAULT_ENDPOINT[0]
-    if port is None:
-        port = DEFAULT_ENDPOINT[1]
-    listener, port = tcp_listen(host, port)
+    host = DEFAULT_ENDPOINT[0]
+    listener, port = tcp_listen(*DEFAULT_ENDPOINT)
     result: dict = {}
 
     def _accept():

@@ -5,10 +5,10 @@ Every message travels as one frame:
     magic "FSWP" | version u8 | class u8 | body_len u64 LE | body
 
 Integers are unsigned 64-bit little-endian; tensor scalars are little-endian
-IEEE floats whose per-tensor width byte is 8 (float64, the default) or 2
-(float16, an opt-in lossy mode for bandwidth studies). Decoding is strict:
-bad magic, unknown class, truncated bodies, trailing bytes, or non-finite
-payloads raise ``FrameError`` carrying the byte offset of the problem.
+IEEE float64, behind a per-tensor width byte that is always 8. Decoding is
+strict: bad magic, unknown class, any other scalar width, truncated bodies,
+trailing bytes, or non-finite payloads raise ``FrameError`` carrying the byte
+offset of the problem.
 
 Attention masks never travel dense. A batch's causal-plus-left-padding mask
 is summarized by ``MaskMeta`` (sequence length, pad length, batch size); the
@@ -35,6 +35,7 @@ VERSION = 1
 HEADER = struct.Struct("<4sBBQ")
 _U64 = struct.Struct("<Q")
 _PAD_SENTINEL = 2**64 - 1
+SCALAR_WIDTH = 8  # bytes per tensor scalar: float64
 
 CLASS_HIDDEN = 1
 CLASS_GRAD = 2
@@ -179,18 +180,15 @@ def _encode_u64(out: bytearray, value: int) -> None:
     out += _U64.pack(value)
 
 
-def _encode_tensor(out: bytearray, arr: np.ndarray, scalar_width: int) -> None:
-    if scalar_width not in (8, 2):
-        raise ShapeError(f"unsupported scalar width {scalar_width}")
+def _encode_tensor(out: bytearray, arr: np.ndarray) -> None:
     data = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise ShapeError("refusing to encode a non-finite tensor payload")
-    out.append(scalar_width)
+    out.append(SCALAR_WIDTH)
     _encode_u64(out, data.ndim)
     for dim in data.shape:
         _encode_u64(out, dim)
-    dtype = "<f8" if scalar_width == 8 else "<f2"
-    out += np.ascontiguousarray(data, dtype=dtype).tobytes()
+    out += np.ascontiguousarray(data, dtype="<f8").tobytes()
 
 
 def _encode_mask_meta(out: bytearray, meta: MaskMeta) -> None:
@@ -205,7 +203,7 @@ def _encode_mask_meta(out: bytearray, meta: MaskMeta) -> None:
             _encode_u64(out, p)
 
 
-def encode_message(msg: Message, scalar_width: int = 8) -> bytes:
+def encode_message(msg: Message) -> bytes:
     body = bytearray()
     if isinstance(msg, HiddenStateMsg):
         _encode_u64(body, msg.step_id)
@@ -214,16 +212,16 @@ def encode_message(msg: Message, scalar_width: int = 8) -> bytes:
         _encode_u64(body, len(msg.positions))
         for p in msg.positions:
             _encode_u64(body, p)
-        _encode_tensor(body, msg.payload, scalar_width)
+        _encode_tensor(body, msg.payload)
     elif isinstance(msg, GradMsg):
         _encode_u64(body, msg.step_id)
         _encode_u64(body, msg.client_id)
-        _encode_tensor(body, msg.payload, scalar_width)
+        _encode_tensor(body, msg.payload)
     elif isinstance(msg, CacheStepMsg):
         _encode_u64(body, msg.step_id)
         _encode_u64(body, msg.session_id)
         _encode_u64(body, msg.position)
-        _encode_tensor(body, msg.payload, scalar_width)
+        _encode_tensor(body, msg.payload)
     else:
         raise ShapeError(f"unknown message type {type(msg).__name__}")
     return HEADER.pack(MAGIC, VERSION, msg.wire_class, len(body)) + bytes(body)
@@ -269,7 +267,7 @@ def parse_header(header: bytes) -> tuple[int, int]:
 def _decode_tensor(r: _Reader) -> np.ndarray:
     width_at = r.pos
     width = r.u8("tensor scalar width")
-    if width not in (8, 2):
+    if width != SCALAR_WIDTH:
         raise FrameError(f"unsupported tensor scalar width {width}", width_at)
     ndim = r.u64("tensor rank")
     if ndim > 8:
@@ -279,9 +277,8 @@ def _decode_tensor(r: _Reader) -> np.ndarray:
     for dim in shape:
         count *= dim
     data_at = r.pos
-    raw = r.take(count * width, "tensor data")
-    dtype = "<f8" if width == 8 else "<f2"
-    arr = np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
+    raw = r.take(count * SCALAR_WIDTH, "tensor data")
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise FrameError("non-finite value in tensor payload", data_at)
     return arr

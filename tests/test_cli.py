@@ -8,8 +8,7 @@ import sys
 import pytest
 
 import fedsplit.cli as cli
-import fedsplit.experiment as exp
-from fedsplit import transport
+from fedsplit import corpus, transport
 from fedsplit.errors import ChannelClosedError, CheckFailure, FrameError, ProtocolError
 
 
@@ -186,7 +185,7 @@ def test_error_to_exit_code_mapping(tmp_path, monkeypatch, exc, code):
 
 
 def test_interrupt_exits_130_with_partial_records(tmp_path, monkeypatch):
-    real_sampler = exp.BatchSampler
+    real_sampler = corpus.BatchSampler
 
     class InterruptingSampler(real_sampler):
         def batch_for(self, step):
@@ -194,7 +193,7 @@ def test_interrupt_exits_130_with_partial_records(tmp_path, monkeypatch):
                 raise KeyboardInterrupt
             return super().batch_for(step)
 
-    monkeypatch.setattr(exp, "BatchSampler", InterruptingSampler)
+    monkeypatch.setattr(corpus, "BatchSampler", InterruptingSampler)
     cfg = write_config(tmp_path, training={"steps": 10, "lr": 0.05, "batch_size": 2})
     rc = cli.main(["train", "-c", str(cfg), "--output-dir", str(tmp_path / "o")])
     assert rc == 130

@@ -1,5 +1,6 @@
 """Config loading, run orchestration, and artifact contracts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,10 +10,18 @@ from fedsplit import transport
 from fedsplit.corpus import ToyCorpus, make_copy_corpus
 from fedsplit.errors import ConfigError
 from fedsplit.experiment import (
+    AttackSection,
+    CommSection,
+    CorpusSection,
+    EvalSection,
+    GenerationSection,
+    GridSection,
+    TrainingSection,
     build_corpus,
     comm_report,
     config_from_dict,
     load_config,
+    load_schema,
     memory_report,
     partition_grid,
     run_attack_experiment,
@@ -22,6 +31,9 @@ from fedsplit.experiment import (
     run_train,
     validate_artifact,
 )
+from fedsplit.model import LoraConfig, ModelConfig, PartitionSpec
+from fedsplit.strategies import StrategyConfig
+from fedsplit.training import NoiseConfig
 
 
 def base_raw(**over):
@@ -130,6 +142,46 @@ def test_load_config_reports_missing_and_malformed_files(tmp_path):
         load_config(bad)
 
 
+SECTION_CLASSES = {
+    "model": ModelConfig,
+    "partition": PartitionSpec,
+    "lora": LoraConfig,
+    "noise": NoiseConfig,
+    "strategy": StrategyConfig,
+    "training": TrainingSection,
+    "corpus": CorpusSection,
+    "generation": GenerationSection,
+    "evaluation": EvalSection,
+    "attack": AttackSection,
+    "comm": CommSection,
+    "grid": GridSection,
+}
+
+
+@pytest.mark.parametrize("section", sorted(SECTION_CLASSES))
+def test_config_schema_matches_section_dataclass(section):
+    """Each section's fields and defaults are written twice, in the schema and
+    in its dataclass; the two copies must agree in both directions."""
+    spec = load_schema("experiment_config.schema.json")["properties"][section]
+    # nullable sections (lora, noise) hold their object schema in a oneOf
+    spec = next((alt for alt in spec.get("oneOf", []) if alt.get("type") == "object"), spec)
+    fields = {f.name: f for f in dataclasses.fields(SECTION_CLASSES[section])}
+    assert set(fields) == set(spec["properties"])
+    for name, field in fields.items():
+        prop = spec["properties"][name]
+        if name in spec.get("required", ()):
+            assert "default" not in prop, name
+        elif field.default is None:  # nullable: no schema default, null allowed
+            assert "default" not in prop, name
+            assert {"type": "null"} in prop["oneOf"], name
+        else:
+            default = field.default
+            assert default is not dataclasses.MISSING, f"{name} has no default and is not required"
+            if isinstance(default, tuple):
+                default = list(default)
+            assert prop["default"] == default and type(prop["default"]) is type(default), name
+
+
 def test_load_config_env_overrides(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base_raw(output_dir="from_file")))
@@ -141,6 +193,18 @@ def test_load_config_env_overrides(tmp_path):
         assert transport.DEFAULT_ENDPOINT == ("127.0.0.1", 4455)
         with pytest.raises(ConfigError):
             load_config(path, env={"FEDSPLIT_ENDPOINT": "no-port-here"})
+    finally:
+        transport.set_default_endpoint(*saved)
+
+
+def test_rejected_config_leaves_the_endpoint_alone(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_raw(partition={"front": 1, "middle": 1, "back": 1})))
+    saved = transport.DEFAULT_ENDPOINT
+    try:
+        with pytest.raises(ConfigError, match="partition"):
+            load_config(path, env={"FEDSPLIT_ENDPOINT": "127.0.0.1:4455"})
+        assert transport.DEFAULT_ENDPOINT == saved
     finally:
         transport.set_default_endpoint(*saved)
 
@@ -260,9 +324,9 @@ def test_every_strategy_runs_and_records(tmp_path, mode, clients):
 
 
 def test_interrupt_keeps_flushed_records(tmp_path, monkeypatch):
-    import fedsplit.experiment as exp
+    import fedsplit.corpus as corpus
 
-    real_sampler = exp.BatchSampler
+    real_sampler = corpus.BatchSampler
 
     class InterruptingSampler(real_sampler):
         def batch_for(self, step):
@@ -270,7 +334,7 @@ def test_interrupt_keeps_flushed_records(tmp_path, monkeypatch):
                 raise KeyboardInterrupt
             return super().batch_for(step)
 
-    monkeypatch.setattr(exp, "BatchSampler", InterruptingSampler)
+    monkeypatch.setattr(corpus, "BatchSampler", InterruptingSampler)
     cfg = config_from_dict(base_raw(training={"steps": 10, "lr": 0.05, "batch_size": 2}))
     with pytest.raises(KeyboardInterrupt):
         run_train(cfg, tmp_path)

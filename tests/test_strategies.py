@@ -3,6 +3,7 @@
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fedsplit.errors import (
     BatchIncompatibilityError,
     ConfigError,
     ProtocolError,
+    ShapeError,
 )
 from fedsplit.model import ModelConfig, PartitionSpec, build_partitioned
 from fedsplit.strategies import (
@@ -30,7 +32,7 @@ from fedsplit.training import (
     SequentialTrainer,
     TrainingServer,
 )
-from fedsplit.transport import LoopbackChannel, MessageChannel
+from fedsplit.transport import LoopbackChannel, MessageChannel, channel_pair
 from fedsplit.wire import GradMsg, HiddenStateMsg, MaskMeta, parse_header
 
 CFG = ModelConfig(vocab_size=32, hidden_size=16, num_heads=2, num_blocks=4, mlp_hidden=24)
@@ -100,6 +102,18 @@ def test_collect_barrier_times_out_naming_the_silent_client():
     MessageChannel(client0).send(hidden_msgs(1)[0])
     with pytest.raises(BarrierTimeoutError, match="client 1"):
         collect_barrier(channels, timeout=0.1)
+
+
+def test_collect_barrier_times_out_naming_the_silent_tcp_client():
+    pairs = [channel_pair("tcp") for _ in range(2)]
+    try:
+        pairs[0][1].send(hidden_msgs(1)[0])
+        with pytest.raises(BarrierTimeoutError, match="client 1 missed the barrier"):
+            collect_barrier({cid: server for cid, (server, _) in enumerate(pairs)}, timeout=0.2)
+    finally:
+        for server, client in pairs:
+            server.close()
+            client.close()
 
 
 def test_collect_barrier_is_arrival_order_independent():
@@ -320,6 +334,26 @@ def test_client_batch_barrier_timeout_when_a_client_stalls():
     try:
         with pytest.raises((BarrierTimeoutError, RuntimeError)):
             trainer.run_round([sampler.batch_for(0), sampler.batch_for(0)], 0)
+    finally:
+        trainer.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_client_batch_raises_a_client_error_without_waiting_for_the_barrier(kind):
+    clients, middle, server_channels = build_shared_trunk_session(
+        CFG, PART, num_clients=2, lr=0.1, seed=2, transport=kind
+    )
+    trainer = ClientBatchTrainer(
+        clients, ClientBatchServer(middle, lr=0.1), server_channels, barrier_timeout=30.0
+    )
+    good = sampler_for().batch_for(0)
+    bad = Batch(good.tokens.copy(), good.targets, good.pad_lens)
+    bad.tokens[0, -1] = 99  # outside the 32-token vocabulary
+    start = time.monotonic()
+    try:
+        with pytest.raises(ShapeError):
+            trainer.run_round([good, bad], 0)
+        assert time.monotonic() - start < 5.0
     finally:
         trainer.shutdown()
 

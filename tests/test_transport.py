@@ -134,6 +134,35 @@ def test_loopback_recv_timeout():
         a.recv_frame(timeout=0.05)
 
 
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_recv_timeout_is_a_protocol_error_and_keeps_the_channel(kind):
+    server, client = channel_pair(kind)
+    msg = GradMsg(np.arange(6.0).reshape(2, 3), step_id=4, client_id=1)
+    try:
+        with pytest.raises(ProtocolError, match="timed out"):
+            server.recv(timeout=0.2)
+        client.send(msg)
+        back = server.recv(timeout=5.0)
+        assert encode_message(back) == encode_message(msg)
+    finally:
+        server.close()
+        client.close()
+
+
+def test_tcp_timeout_mid_frame_closes_the_channel():
+    sa, sb = tcp_pair()
+    frame = encode_message(GradMsg(np.zeros((2, 2)), step_id=0, client_id=0))
+    try:
+        sa.send_frame(frame[: len(frame) // 2])
+        with pytest.raises(ChannelClosedError, match="mid-frame"):
+            sb.recv_frame(timeout=0.2)
+        with pytest.raises(ChannelClosedError):
+            sb.recv_frame(timeout=0.2)  # the stream cannot resync
+    finally:
+        sa.close()
+        sb.close()
+
+
 def test_tcp_close_mid_stream_raises_channel_closed():
     sa, sb = tcp_pair()
     server = MessageChannel(sa)
