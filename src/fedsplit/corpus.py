@@ -37,6 +37,19 @@ class CorpusItem:
         return self.prompt + self.answer
 
 
+def cloze_problem(item: CorpusItem) -> str | None:
+    """Why ``item`` cannot be scored as a cloze item, or ``None`` if it can:
+    it needs a set of distinct candidates and a one-token answer among them."""
+    cands = item.candidates
+    if not cands:
+        return "has no candidate set"
+    if len(set(cands)) != len(cands):
+        return f"has duplicate candidates {list(cands)}"
+    if len(item.answer) != 1 or item.answer[0] not in cands:
+        return f"answer {list(item.answer)} is not one token among candidates {list(cands)}"
+    return None
+
+
 @dataclass
 class ToyCorpus:
     items: list[CorpusItem]
@@ -56,6 +69,9 @@ class ToyCorpus:
                 raise ConfigError(
                     f"item {i} has token ids that are not integers inside vocab {self.vocab_size}"
                 )
+            problem = cloze_problem(item) if self.task == "cloze" else None
+            if problem:
+                raise ConfigError(f"item {i} {problem}")
 
     def save(self, path) -> None:
         payload = {

@@ -27,13 +27,14 @@ from .attack import AttackerConfig, run_attack
 from .corpus import (
     ToyCorpus,
     client_samplers,
+    cloze_problem,
     make_cloze_corpus,
     make_copy_corpus,
     make_lm_corpus,
     shard_corpus,
 )
 from .errors import CheckpointError, ConfigError, FedSplitError
-from .inference import GenerationConfig, InferenceStack
+from .inference import MAX_PREFILL_ROWS, GenerationConfig, InferenceStack
 from .model import LoraConfig, ModelConfig, PartitionSpec, build_partitioned
 from .scoring import score_multi_token, score_single_token
 from .strategies import (
@@ -576,12 +577,33 @@ def run_generate(cfg: ExperimentConfig, output_dir=None, segments=None, adapters
     return write_report(out / "generation.json", "generation", cfg.seed, payload)
 
 
+def _cloze_logits(cfg: ExperimentConfig, segments, items) -> list[np.ndarray]:
+    """Last-position logits of every item's prompt, in item order, from one
+    stack: items of one prompt length go through batched prefills of at most
+    ``MAX_PREFILL_ROWS`` rows, lengths in first-seen order."""
+    by_length: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        by_length.setdefault(len(item.prompt), []).append(i)
+    logits: list = [None] * len(items)
+    with InferenceStack(*segments, transport=cfg.transport,
+                        use_cache=cfg.evaluation.use_cache) as stack:
+        for group in by_length.values():
+            for start in range(0, len(group), MAX_PREFILL_ROWS):
+                chunk = group[start:start + MAX_PREFILL_ROWS]
+                rows = stack.session.prefill_batch([items[i].prompt for i in chunk])
+                for i, row in zip(chunk, rows):
+                    logits[i] = row
+    return logits
+
+
 def run_eval(cfg: ExperimentConfig, output_dir=None, segments=None, adapters=None):
     """Score the corpus and write ``eval.json``.
 
-    Cloze mode ranks each item's candidate set by restricted softmax and
-    reports accuracy; generative mode teacher-forces each item's answer and
-    reports the mean per-item log-probability. Both appear raw and x100.
+    Cloze mode checks every item, then ranks each item's candidate set by
+    restricted softmax over logits from batched prefills on one stack, and
+    reports accuracy; generative mode teacher-forces each item's answer on a
+    stack of its own and reports the mean per-item log-probability. Both
+    appear raw and x100.
     """
     _require_valid(_check_evaluation(cfg.corpus, cfg.evaluation))
     out = _prepare_output_dir(cfg, output_dir)
@@ -593,26 +615,29 @@ def run_eval(cfg: ExperimentConfig, output_dir=None, segments=None, adapters=Non
     mode = cfg.evaluation.mode
     per_item = []
     values = []
-    for item in items:
-        if mode == "cloze" and item.candidates is None:
-            raise ConfigError("cloze evaluation needs items with candidate sets")
-        with InferenceStack(front, middle, back, transport=cfg.transport,
-                            use_cache=cfg.evaluation.use_cache) as stack:
-            if mode == "cloze":
-                logits = stack.session.prefill(list(item.prompt))
-                probs = score_single_token(np.asarray(logits), item.candidates)
-                pick = item.candidates[int(np.argmax(probs))]
-                truth = item.answer[0]
-                correct = float(pick == truth)
-                values.append(correct)
-                per_item.append({
-                    "correct": bool(correct),
-                    "truth_prob": float(probs[item.candidates.index(truth)]),
-                })
-            else:
+    if mode == "cloze":
+        for i, item in enumerate(items):
+            problem = cloze_problem(item)
+            if problem:
+                raise ConfigError(f"cloze evaluation: item {i} {problem}")
+        logits = _cloze_logits(cfg, (front, middle, back), items)
+        for item, row in zip(items, logits):
+            probs = score_single_token(row, item.candidates)
+            pick = item.candidates[int(np.argmax(probs))]
+            truth = item.answer[0]
+            correct = float(pick == truth)
+            values.append(correct)
+            per_item.append({
+                "correct": bool(correct),
+                "truth_prob": float(probs[item.candidates.index(truth)]),
+            })
+    else:
+        for item in items:
+            with InferenceStack(front, middle, back, transport=cfg.transport,
+                                use_cache=cfg.evaluation.use_cache) as stack:
                 logprob = score_multi_token(stack.session, item.prompt, item.answer)
-                values.append(logprob)
-                per_item.append({"logprob": logprob, "answer_len": len(item.answer)})
+            values.append(logprob)
+            per_item.append({"logprob": logprob, "answer_len": len(item.answer)})
     score = float(np.mean(values)) if values else float("nan")
     payload = {
         "mode": mode,

@@ -9,6 +9,11 @@ Turning the cache off makes every step recompute the whole prefix, which
 reproduces the same tokens at a per-step cost that grows with context length;
 the cached and uncached paths exist side by side so that equivalence is
 checkable.
+
+Prefill-only work (cloze scoring) batches: ``prefill_batch`` sends up to
+``MAX_PREFILL_ROWS`` equal-length prompts as one exchange. Equal lengths need
+no padding and every op works per row, so each row's logits are bitwise the
+one-row prefill's.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ from .transport import MessageChannel, channel_pair, serve_channel
 from .wire import CacheStepMsg, HiddenStateMsg, MaskMeta
 
 _SESSION_IDS = itertools.count(1)
+
+# Rows per batched prefill. With the default model (width 64, 4 heads, context
+# 128) one exchange holds at most 1 MiB of hidden state and 8.4 MB of
+# attention scores.
+MAX_PREFILL_ROWS = 16
 
 
 class _CacheEntry:
@@ -268,23 +278,25 @@ class GenerationSession:
             )
         return toks
 
-    def _exchange_prefix(self) -> np.ndarray:
-        """Send the whole token history across the split; returns the logits
-        at its last position. A cached session fills its caches here; an
-        uncached one (both caches ``None``) keeps no state."""
-        ids = np.asarray([self.tokens])
-        positions = tuple(range(len(self.tokens)))
-        mask = MaskMeta(len(self.tokens), 0, 1)
+    def _exchange_prefix(self, ids: np.ndarray, cached: bool = True) -> np.ndarray:
+        """Send a ``(rows, L)`` token array across the split; returns the
+        ``(rows, vocab)`` logits at its last position. With ``cached`` the
+        session's caches fill here (an uncached session has none); without
+        it the client keeps no state."""
+        rows, length = ids.shape
+        front_cache = self.front_cache if cached else None
+        back_cache = self.back_cache if cached else None
         with T.no_grad():
-            h = self.front.forward(ids, cache=self.front_cache)
+            h = self.front.forward(ids, cache=front_cache)
         reply = self.channel.request(
-            HiddenStateMsg(h.data, mask, positions, step_id=self.session_id, client_id=0)
+            HiddenStateMsg(h.data, MaskMeta(length, 0, rows), tuple(range(length)),
+                           step_id=self.session_id, client_id=0)
         )
         if reply.step_id != self.session_id:
             raise ProtocolError("prefix reply does not belong to this session")
         with T.no_grad():
-            logits = self.back.forward(reply.payload, cache=self.back_cache)
-        return logits.data[0, -1]
+            logits = self.back.forward(reply.payload, cache=back_cache)
+        return logits.data[:, -1]
 
     def prefill(self, prompt: Sequence[int]) -> np.ndarray:
         """Full-prompt pass; returns the logits at the last position."""
@@ -293,7 +305,27 @@ class GenerationSession:
             raise ProtocolError("session already prefilled; use a fresh session")
         self._prefilled = True
         self.tokens = list(toks)
-        return self._exchange_prefix()
+        return self._exchange_prefix(np.asarray([self.tokens]))[0]
+
+    def prefill_batch(self, prompts: Sequence[Sequence[int]]) -> np.ndarray:
+        """One exchange for up to ``MAX_PREFILL_ROWS`` equal-length prompts;
+        returns their ``(rows, vocab)`` last-position logits.
+
+        The client keeps no state, so the session may batch again; the
+        server re-initialises this session's cache on every call. A session
+        that has batched still cannot decode.
+        """
+        if self._prefilled:
+            raise ProtocolError("session already prefilled; batch on a fresh session")
+        if not 0 < len(prompts) <= MAX_PREFILL_ROWS:
+            raise ShapeError(
+                f"a batched prefill takes 1 to {MAX_PREFILL_ROWS} prompts, got {len(prompts)}"
+            )
+        rows = [self._check_prompt(p) for p in prompts]
+        lengths = sorted({len(r) for r in rows})
+        if len(lengths) != 1:
+            raise ShapeError(f"batched prompts must share one length, got lengths {lengths}")
+        return self._exchange_prefix(np.asarray(rows), cached=False)
 
     def decode_step(self, last_token: int) -> np.ndarray:
         """Feed one token; returns the logits predicting the next one."""
@@ -307,7 +339,7 @@ class GenerationSession:
         (token,) = self._check_prompt([last_token])
         self.tokens.append(token)
         if not self.use_cache:
-            return self._exchange_prefix()
+            return self._exchange_prefix(np.asarray([self.tokens]))[0]
         ids = np.asarray([[token]])
         with T.no_grad():
             h = self.front.forward(ids, positions=[position], cache=self.front_cache)

@@ -5,6 +5,10 @@ restricted to the candidate logits; generative items score a multi-token
 answer by teacher-forcing it through the decode path and summing per-token
 log-probabilities. Both are decode-path independent: cached and uncached
 sessions produce the same numbers to float precision.
+
+``score_single_token`` takes one logit row, so the cloze caller is free to
+produce those rows in batches (``GenerationSession.prefill_batch``): a
+batched row is bitwise the one-row prefill's, and so is its score.
 """
 
 from __future__ import annotations

@@ -1,0 +1,57 @@
+"""The benchmark's tracer patches fedsplit by attribute name; it must find
+every hook and put every original back."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from fedsplit import corpus, experiment, inference, model, scoring, strategies  # noqa: F401
+from fedsplit import tensor, training, transport, wire  # noqa: F401
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def fedsplit_attributes() -> dict:
+    """Every module attribute of fedsplit, and every member of its classes."""
+    snap = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not name.startswith("fedsplit"):
+            continue
+        for key, value in vars(mod).items():
+            snap[(name, key)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for attr, member in vars(value).items():
+                    snap[(name, key, attr)] = member
+    return snap
+
+
+def test_tracer_installs_every_hook_and_restores_every_original():
+    tracer = load_tracer().Tracer()
+    before = fedsplit_attributes()
+    tracer.install()
+    try:
+        during = fedsplit_attributes()
+        patched = {key for key, value in before.items() if during.get(key) is not value}
+        for hook in (
+            ("fedsplit.inference", "GenerationSession", "prefill"),
+            ("fedsplit.inference", "GenerationSession", "decode_step"),
+            ("fedsplit.inference", "InferenceStack", "__init__"),
+            ("fedsplit.scoring", "score_single_token"),
+            ("fedsplit.experiment", "score_single_token"),
+            ("fedsplit.experiment", "write_report"),
+            ("fedsplit.training", "TrainingClient", "train_step"),
+        ):
+            assert hook in patched, hook
+    finally:
+        tracer.uninstall()
+    after = fedsplit_attributes()
+    assert after.keys() == before.keys()
+    moved = [key for key, value in before.items() if after[key] is not value]
+    assert moved == [], f"tracer left patched attributes: {moved}"

@@ -58,6 +58,29 @@ def test_malformed_corpus_file_exits_2(tmp_path, capsys):
     assert "corpus file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["cloze", "lm"])
+@pytest.mark.parametrize("answer, candidates", [
+    ([9], [6, 7, 8]),      # answer not among the candidates
+    ([], [6, 7, 8]),       # empty answer
+    ([6, 7], [6, 7, 8]),   # multi-token answer
+    ([6], [6, 6, 8]),      # duplicate candidates
+])
+def test_malformed_cloze_corpus_exits_2_before_any_exchange(tmp_path, capsys, monkeypatch,
+                                                            answer, candidates, task):
+    def no_stack(*args, **kwargs):
+        raise AssertionError("a stack was opened for a malformed corpus")
+
+    monkeypatch.setattr(cli.experiment, "InferenceStack", no_stack)
+    items = [{"prompt": [1, 4, 5, 2], "answer": [6], "candidates": [6, 7, 8]},
+             {"prompt": [1, 5, 4, 2], "answer": answer, "candidates": candidates}]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema_version": 1, "task": task, "vocab_size": 16,
+                                "seed": 0, "items": items}))
+    cfg = write_config(tmp_path, corpus={"path": str(path)}, evaluation={"mode": "cloze"})
+    assert cli.main(["eval", "-c", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "item 1" in capsys.readouterr().err
+
+
 def test_check_loss_ratio_exit_codes(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "out")

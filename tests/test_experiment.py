@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from fedsplit import transport
-from fedsplit.corpus import ToyCorpus, make_copy_corpus
+from fedsplit import experiment, transport
+from fedsplit.corpus import CorpusItem, ToyCorpus, make_copy_corpus
 from fedsplit.errors import ConfigError
 from fedsplit.experiment import (
     AttackSection,
@@ -31,7 +31,9 @@ from fedsplit.experiment import (
     run_train,
     validate_artifact,
 )
-from fedsplit.model import LoraConfig, ModelConfig, PartitionSpec
+from fedsplit.inference import InferenceStack
+from fedsplit.model import LoraConfig, ModelConfig, PartitionSpec, build_partitioned
+from fedsplit.scoring import score_single_token
 from fedsplit.strategies import StrategyConfig
 from fedsplit.training import NoiseConfig
 
@@ -375,6 +377,59 @@ def test_run_eval_cloze_scores_candidates(tmp_path):
     assert payload["score_x100"] == pytest.approx(100.0 * payload["score"])
     for entry in payload["per_item"]:
         assert 0.0 < entry["truth_prob"] < 1.0
+
+
+def mixed_length_cloze_file(path, vocab=16):
+    """21 items of prompt length 5 interleaved with 6 of length 8."""
+    rng = np.random.default_rng(4)
+    items = []
+    for i in range(27):
+        length = 8 if i % 4 == 1 and i < 24 else 5
+        cands = tuple(int(c) for c in rng.choice(np.arange(4, vocab), size=3, replace=False))
+        prompt = tuple(int(t) for t in rng.integers(4, vocab, size=length))
+        items.append(CorpusItem(prompt, (cands[i % 3],), cands))
+    ToyCorpus(items, vocab, "cloze", 0).save(path)
+    return items
+
+
+def per_item_reference(cfg, items):
+    """The unbatched path: one stack and one prefill per item."""
+    front, middle, back = build_partitioned(cfg.model, cfg.partition, cfg.lora, seed=cfg.seed)
+    per_item, values = [], []
+    for item in items:
+        with InferenceStack(front, middle, back, transport=cfg.transport,
+                            use_cache=cfg.evaluation.use_cache) as stack:
+            probs = score_single_token(stack.session.prefill(list(item.prompt)), item.candidates)
+        correct = item.candidates[int(np.argmax(probs))] == item.answer[0]
+        values.append(float(correct))
+        per_item.append({"correct": correct,
+                         "truth_prob": float(probs[item.candidates.index(item.answer[0])])})
+    return per_item, float(np.mean(values))
+
+
+@pytest.mark.parametrize("transport_kind", ["loopback", "tcp"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_batched_cloze_eval_is_bitwise_the_per_item_path(tmp_path, monkeypatch,
+                                                         transport_kind, use_cache):
+    opened = []
+
+    class CountingStack(InferenceStack):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "InferenceStack", CountingStack)
+    items = mixed_length_cloze_file(tmp_path / "corpus.json")
+    raw = base_raw(transport=transport_kind, corpus={"path": str(tmp_path / "corpus.json")},
+                   evaluation={"mode": "cloze", "use_cache": use_cache})
+    cfg = config_from_dict(raw)
+    report = run_eval(cfg, tmp_path / "out")
+    assert len(opened) == 1
+    per_item, score = per_item_reference(cfg, items)
+    payload = json.loads((tmp_path / "out" / "eval.json").read_text())["payload"]
+    assert payload == report["payload"]
+    assert payload["per_item"] == per_item
+    assert payload["score"] == score and payload["num_items"] == 27
 
 
 def test_run_eval_generative_logprobs(tmp_path):

@@ -209,6 +209,64 @@ def test_decode_before_prefill_rejected():
 
 
 # ---------------------------------------------------------------------------
+# batched prefill
+
+
+def one_row_logits(prompts, transport, use_cache=True):
+    rows = []
+    for prompt in prompts:
+        with build_stack(transport=transport, use_cache=use_cache) as stack:
+            rows.append(stack.session.prefill(prompt))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_prefill_batch_rows_are_bitwise_one_row_prefills(transport, use_cache):
+    rng = np.random.default_rng(11)
+    prompts = [random_prompt(rng, 9) for _ in range(inference.MAX_PREFILL_ROWS)]
+    with build_stack(transport=transport, use_cache=use_cache) as stack:
+        logits = stack.session.prefill_batch(prompts)
+        stats = stack.session.channel.stats.snapshot()
+        assert stack.server.session_length(stack.session.session_id) == 9
+        assert stack.session.tokens == []
+        if use_cache:
+            assert stack.session.front_cache.length == 0
+            assert stack.session.back_cache.length == 0
+    assert logits.shape == (len(prompts), CFG.vocab_size)
+    np.testing.assert_array_equal(logits, one_row_logits(prompts, transport, use_cache))
+    hidden = stats["classes"]["hidden_state"]
+    assert hidden["sent_count"] == 1 and hidden["recv_count"] == 1
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_prefill_batch_guards(transport):
+    rng = np.random.default_rng(12)
+    first = [random_prompt(rng, 4) for _ in range(3)]
+    second = [random_prompt(rng, 6) for _ in range(2)]
+    with build_stack(transport=transport) as stack:
+        session = stack.session
+        for bad in ([[1, 2, 3], [1, 2]], [], [[1, 2]] * (inference.MAX_PREFILL_ROWS + 1)):
+            with pytest.raises(ShapeError):
+                session.prefill_batch(bad)
+        # two batches on one session equal two fresh sessions' batches
+        got = [session.prefill_batch(first), session.prefill_batch(second)]
+        assert stack.server.session_length(session.session_id) == 6
+        with pytest.raises(ProtocolError, match="decode before prefill"):
+            session.decode_step(1)
+        sid = session.session_id
+    with pytest.raises(ProtocolError, match="unknown session"):
+        stack.server.session_length(sid)
+    for prompts, logits in zip((first, second), got):
+        with build_stack(transport=transport) as fresh:
+            np.testing.assert_array_equal(fresh.session.prefill_batch(prompts), logits)
+    with build_stack(transport=transport) as stack:
+        stack.session.prefill([1, 2, 3])
+        with pytest.raises(ProtocolError):
+            stack.session.prefill_batch([[1, 2, 3]])
+
+
+# ---------------------------------------------------------------------------
 # decode
 
 
