@@ -168,23 +168,22 @@ def tcp_pair() -> tuple[TcpChannel, TcpChannel]:
     """A connected (server-side, client-side) channel pair on ``DEFAULT_ENDPOINT``.
 
     A fixed port works for pairs created one after another, since each
-    listener closes before the next binds.
+    listener closes before the next binds. The kernel completes the
+    handshake into the listener's backlog, so the calling thread can
+    connect and then accept.
     """
     host = DEFAULT_ENDPOINT[0]
     listener, port = tcp_listen(*DEFAULT_ENDPOINT)
-    result: dict = {}
-
-    def _accept():
-        result["server"] = tcp_accept(listener, timeout=10.0)
-
-    t = threading.Thread(target=_accept)
-    t.start()
-    client = tcp_connect(host, port)
-    t.join(timeout=10.0)
-    listener.close()
-    if "server" not in result:
-        raise ProtocolError("tcp pair accept did not complete")
-    return result["server"], client
+    try:
+        client = tcp_connect(host, port)
+        try:
+            server = tcp_accept(listener, timeout=10.0)
+        except BaseException:
+            client.close()
+            raise
+    finally:
+        listener.close()
+    return server, client
 
 
 class MessageChannel:

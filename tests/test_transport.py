@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from fedsplit import transport
 from fedsplit.errors import ChannelClosedError, FrameError, ProtocolError
 from fedsplit.transport import (
     MAX_FRAME_BODY,
@@ -117,6 +118,43 @@ def test_tcp_and_loopback_stats_agree():
                 client.close()
         stats[kind] = client.stats.snapshot()
     assert stats["loopback"] == stats["tcp"]
+
+
+def test_tcp_pair_connects_without_a_helper_thread(monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    sa, sb = tcp_pair()
+    server, client = MessageChannel(sa), MessageChannel(sb)
+    try:
+        msgs = make_messages(2, seed=5)
+        for msg in msgs:
+            client.send(msg)
+        for msg in msgs:
+            assert encode_message(server.recv(timeout=5.0)) == encode_message(msg)
+    finally:
+        server.close()
+        client.close()
+    assert started == []
+
+
+def test_tcp_pair_closes_its_client_when_accept_fails(monkeypatch):
+    connected = []
+    real_connect = transport.tcp_connect
+
+    def connect(host, port):
+        connected.append(real_connect(host, port))
+        return connected[-1]
+
+    def accept(listener, timeout=None):
+        raise ProtocolError("accept timed out")
+
+    monkeypatch.setattr(transport, "tcp_connect", connect)
+    monkeypatch.setattr(transport, "tcp_accept", accept)
+    with pytest.raises(ProtocolError, match="accept timed out"):
+        tcp_pair()
+    assert len(connected) == 1
+    with pytest.raises(ChannelClosedError):
+        connected[0].send_frame(b"x")
 
 
 def test_loopback_close_unblocks_peer():
