@@ -44,6 +44,9 @@ from .training import (
 )
 from .wire import HiddenStateMsg
 
+# Seed of the fresh forward noise drawn when scoring reconstruction.
+EVAL_NOISE_SEED = 9_999
+
 # ---------------------------------------------------------------------------
 # overlap metrics
 
@@ -224,7 +227,6 @@ def evaluate_reconstruction(
     front: SegmentModel,
     items: ToyCorpus | Sequence[CorpusItem],
     noise: NoiseConfig | None = None,
-    noise_seed: int = 9_999,
 ) -> tuple[float, float, float]:
     """Score the decoder against hidden states the honest client would send.
 
@@ -239,7 +241,7 @@ def evaluate_reconstruction(
         raise ConfigError("reconstruction evaluation needs at least one item")
     source = None
     if noise is not None and noise.target == "forward_hidden":
-        source = NoiseSource(replace(noise, seed=noise_seed))
+        source = NoiseSource(replace(noise, seed=EVAL_NOISE_SEED))
     accuracies, bleus, rouges = [], [], []
     for item in seq:
         truth = list(item.full_sequence())[:-1]

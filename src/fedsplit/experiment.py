@@ -34,7 +34,7 @@ from .corpus import (
     shard_corpus,
 )
 from .errors import CheckpointError, ConfigError, FedSplitError
-from .inference import MAX_PREFILL_ROWS, GenerationConfig, InferenceStack
+from .inference import GenerationConfig, InferenceStack
 from .model import LoraConfig, ModelConfig, PartitionSpec, build_partitioned
 from .scoring import score_multi_token, score_single_token
 from .strategies import (
@@ -45,7 +45,7 @@ from .strategies import (
     build_shared_trunk_session,
 )
 from .training import NoiseConfig, SequentialTrainer, TrainingServer
-from .wire import CommStats, MaskMeta
+from .wire import SCALAR_WIDTH, CommStats, MaskMeta
 
 ENV_ENDPOINT = "FEDSPLIT_ENDPOINT"
 ENV_OUTPUT_DIR = "FEDSPLIT_OUTPUT_DIR"
@@ -128,7 +128,6 @@ class AttackSection:
 class CommSection:
     batch: int = 2
     seq_len: int = 128
-    scalar_width: int = 8
     context_lengths: tuple[int, int] = (16, 64)
     new_tokens: int = 4
 
@@ -577,32 +576,13 @@ def run_generate(cfg: ExperimentConfig, output_dir=None, segments=None, adapters
     return write_report(out / "generation.json", "generation", cfg.seed, payload)
 
 
-def _cloze_logits(cfg: ExperimentConfig, segments, items) -> list[np.ndarray]:
-    """Last-position logits of every item's prompt, in item order, from one
-    stack: items of one prompt length go through batched prefills of at most
-    ``MAX_PREFILL_ROWS`` rows, lengths in first-seen order."""
-    by_length: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        by_length.setdefault(len(item.prompt), []).append(i)
-    logits: list = [None] * len(items)
-    with InferenceStack(*segments, transport=cfg.transport,
-                        use_cache=cfg.evaluation.use_cache) as stack:
-        for group in by_length.values():
-            for start in range(0, len(group), MAX_PREFILL_ROWS):
-                chunk = group[start:start + MAX_PREFILL_ROWS]
-                rows = stack.session.prefill_batch([items[i].prompt for i in chunk])
-                for i, row in zip(chunk, rows):
-                    logits[i] = row
-    return logits
-
-
 def run_eval(cfg: ExperimentConfig, output_dir=None, segments=None, adapters=None):
     """Score the corpus and write ``eval.json``.
 
-    Cloze mode checks every item, then ranks each item's candidate set by
-    restricted softmax over logits from batched prefills on one stack, and
-    reports accuracy; generative mode teacher-forces each item's answer on a
-    stack of its own and reports the mean per-item log-probability. Both
+    Every item is scored on one stack. Cloze mode checks every item, then
+    ranks each item's candidate set by restricted softmax over logits from
+    one batched prefill, and reports accuracy; generative mode teacher-forces
+    each item's answer and reports the mean per-item log-probability. Both
     appear raw and x100.
     """
     _require_valid(_check_evaluation(cfg.corpus, cfg.evaluation))
@@ -620,24 +600,25 @@ def run_eval(cfg: ExperimentConfig, output_dir=None, segments=None, adapters=Non
             problem = cloze_problem(item)
             if problem:
                 raise ConfigError(f"cloze evaluation: item {i} {problem}")
-        logits = _cloze_logits(cfg, (front, middle, back), items)
-        for item, row in zip(items, logits):
-            probs = score_single_token(row, item.candidates)
-            pick = item.candidates[int(np.argmax(probs))]
-            truth = item.answer[0]
-            correct = float(pick == truth)
-            values.append(correct)
-            per_item.append({
-                "correct": bool(correct),
-                "truth_prob": float(probs[item.candidates.index(truth)]),
-            })
-    else:
-        for item in items:
-            with InferenceStack(front, middle, back, transport=cfg.transport,
-                                use_cache=cfg.evaluation.use_cache) as stack:
+    with InferenceStack(front, middle, back, transport=cfg.transport,
+                        use_cache=cfg.evaluation.use_cache) as stack:
+        if mode == "cloze":
+            logits = stack.session.prefill_batch([item.prompt for item in items])
+            for item, row in zip(items, logits):
+                probs = score_single_token(row, item.candidates)
+                pick = item.candidates[int(np.argmax(probs))]
+                truth = item.answer[0]
+                correct = float(pick == truth)
+                values.append(correct)
+                per_item.append({
+                    "correct": bool(correct),
+                    "truth_prob": float(probs[item.candidates.index(truth)]),
+                })
+        else:
+            for item in items:
                 logprob = score_multi_token(stack.session, item.prompt, item.answer)
-            values.append(logprob)
-            per_item.append({"logprob": logprob, "answer_len": len(item.answer)})
+                values.append(logprob)
+                per_item.append({"logprob": logprob, "answer_len": len(item.answer)})
     score = float(np.mean(values)) if values else float("nan")
     payload = {
         "mode": mode,
@@ -681,23 +662,19 @@ def run_attack_experiment(cfg: ExperimentConfig, output_dir=None):
     return write_report(out / "attack.json", "attack", cfg.seed, report.to_json())
 
 
-def _decode_step_bytes(cfg: ExperimentConfig, segments, context_len: int, use_cache: bool) -> float:
+def _decode_step_bytes(session, context_len: int, new_tokens: int) -> float:
     """Mean client-side bytes per decode step after a ``context_len`` prefill."""
-    front, middle, back = segments
-    prompt = [i % cfg.model.vocab_size for i in range(context_len)]
-    with InferenceStack(front, middle, back, transport=cfg.transport,
-                        use_cache=use_cache) as stack:
-        logits = stack.session.prefill(prompt)
-        channel = stack.session.channel
-        before = channel.stats.snapshot()
+    vocab = session.front.config.vocab_size
+    logits = session.prefill([i % vocab for i in range(context_len)])
+    before = session.channel.stats.snapshot()
+    token = int(np.argmax(logits))
+    for _ in range(new_tokens):
+        logits = session.decode_step(token)
         token = int(np.argmax(logits))
-        for _ in range(cfg.comm.new_tokens):
-            logits = stack.session.decode_step(token)
-            token = int(np.argmax(logits))
-        after = channel.stats.snapshot()
+    after = session.channel.stats.snapshot()
     moved = (after["totals"]["sent_bytes"] + after["totals"]["recv_bytes"]
              - before["totals"]["sent_bytes"] - before["totals"]["recv_bytes"])
-    return moved / cfg.comm.new_tokens
+    return moved / new_tokens
 
 
 def comm_report(cfg: ExperimentConfig, output_dir=None):
@@ -705,22 +682,26 @@ def comm_report(cfg: ExperimentConfig, output_dir=None):
 
     The mask numbers are pure arithmetic (metadata wire size against the
     dense additive mask it replaces); the decode numbers are measured off a
-    live stack at two context lengths, cached and uncached.
+    live stack per cache mode, prefilled at each of two context lengths.
     """
     _require_valid(_check_comm(cfg.model, cfg.comm))
     out = _prepare_output_dir(cfg, output_dir)
     c = cfg.comm
     meta = MaskMeta(c.seq_len, (0,) * c.batch, c.batch)
-    dense = meta.dense_mask_bytes(c.scalar_width)
+    dense = meta.dense_mask_bytes(SCALAR_WIDTH)
     l1, l2 = c.context_lengths
     segments = _segments(cfg)
-    cached = [_decode_step_bytes(cfg, segments, length, True) for length in (l1, l2)]
-    uncached = [_decode_step_bytes(cfg, segments, length, False) for length in (l1, l2)]
+    step_bytes = {}
+    for use_cache in (True, False):
+        with InferenceStack(*segments, transport=cfg.transport, use_cache=use_cache) as stack:
+            step_bytes[use_cache] = [_decode_step_bytes(stack.session, length, c.new_tokens)
+                                     for length in (l1, l2)]
+    cached, uncached = step_bytes[True], step_bytes[False]
     payload = {
         "mask": {
             "batch": c.batch,
             "seq_len": c.seq_len,
-            "scalar_width": c.scalar_width,
+            "scalar_width": SCALAR_WIDTH,
             "dense_bytes": dense,
             "meta_bytes": meta.wire_size(),
             "ratio": dense / meta.wire_size(),

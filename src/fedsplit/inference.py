@@ -1,7 +1,7 @@
 """Autoregressive generation across the split with mirrored key/value caches.
 
-A generation session prefills once (one full-prompt hidden-state exchange)
-and then ships exactly one token's hidden state per decode step in each
+A generation session prefills (one full-prompt hidden-state exchange) and
+then ships exactly one token's hidden state per decode step in each
 direction, while both sides extend block-local key/value caches. A cache
 entry writes each step in place into buffers that double when full, so a
 decode step copies no history except at the O(log context) growth points.
@@ -10,10 +10,15 @@ reproduces the same tokens at a per-step cost that grows with context length;
 the cached and uncached paths exist side by side so that equivalence is
 checkable.
 
-Prefill-only work (cloze scoring) batches: ``prefill_batch`` sends up to
-``MAX_PREFILL_ROWS`` equal-length prompts as one exchange. Equal lengths need
-no padding and every op works per row, so each row's logits are bitwise the
-one-row prefill's.
+A session's state is the prefix it last sent. Every ``prefill`` starts over
+with fresh caches on both sides (the server re-initialises the session's
+cache on every hidden-state message), so one session, and one stack, serves
+any number of prompts in turn.
+
+Prefill-only work (cloze scoring) batches: ``prefill_batch`` takes any number
+of prompts and sends those of one length as exchanges of up to
+``MAX_PREFILL_ROWS`` rows. Equal lengths need no padding and every op works
+per row, so each row's logits are bitwise the one-row prefill's.
 """
 
 from __future__ import annotations
@@ -239,7 +244,8 @@ class InferenceServer:
 
 
 class GenerationSession:
-    """Client half of one generation: the front and back segments plus caches."""
+    """Client half of generation: the front and back segments plus the caches
+    of the prefix it last sent."""
 
     def __init__(
         self,
@@ -254,11 +260,7 @@ class GenerationSession:
         self.channel = channel
         self.use_cache = use_cache
         self.session_id = next(_SESSION_IDS) if session_id is None else session_id
-        self.front_cache = KVCache(len(front.blocks)) if use_cache else None
-        self.back_cache = KVCache(len(back.blocks)) if use_cache else None
-        self.tokens: list[int] = []
-        self._steps = itertools.count()
-        self._prefilled = False
+        self._restart(with_caches=False)
 
     @property
     def max_context(self) -> int:
@@ -278,16 +280,20 @@ class GenerationSession:
             )
         return toks
 
-    def _exchange_prefix(self, ids: np.ndarray, cached: bool = True) -> np.ndarray:
+    def _restart(self, with_caches: bool) -> None:
+        """Forget the prefix: no tokens, fresh caches (or none), step ids from 0."""
+        self.tokens: list[int] = []
+        self.front_cache = KVCache(len(self.front.blocks)) if with_caches else None
+        self.back_cache = KVCache(len(self.back.blocks)) if with_caches else None
+        self._steps = itertools.count()
+
+    def _exchange_prefix(self, ids: np.ndarray) -> np.ndarray:
         """Send a ``(rows, L)`` token array across the split; returns the
-        ``(rows, vocab)`` logits at its last position. With ``cached`` the
-        session's caches fill here (an uncached session has none); without
-        it the client keeps no state."""
+        ``(rows, vocab)`` logits at its last position. The session's caches,
+        if it holds any, fill here."""
         rows, length = ids.shape
-        front_cache = self.front_cache if cached else None
-        back_cache = self.back_cache if cached else None
         with T.no_grad():
-            h = self.front.forward(ids, cache=front_cache)
+            h = self.front.forward(ids, cache=self.front_cache)
         reply = self.channel.request(
             HiddenStateMsg(h.data, MaskMeta(length, 0, rows), tuple(range(length)),
                            step_id=self.session_id, client_id=0)
@@ -295,41 +301,44 @@ class GenerationSession:
         if reply.step_id != self.session_id:
             raise ProtocolError("prefix reply does not belong to this session")
         with T.no_grad():
-            logits = self.back.forward(reply.payload, cache=back_cache)
+            logits = self.back.forward(reply.payload, cache=self.back_cache)
         return logits.data[:, -1]
 
     def prefill(self, prompt: Sequence[int]) -> np.ndarray:
-        """Full-prompt pass; returns the logits at the last position."""
+        """Full-prompt pass; returns the logits at the last position.
+
+        Any earlier prefix is dropped first, so one session serves any number
+        of prompts, each exactly as a fresh session with the same id would.
+        """
         toks = self._check_prompt(prompt)
-        if self._prefilled:
-            raise ProtocolError("session already prefilled; use a fresh session")
-        self._prefilled = True
-        self.tokens = list(toks)
-        return self._exchange_prefix(np.asarray([self.tokens]))[0]
+        self._restart(with_caches=self.use_cache)
+        logits = self._exchange_prefix(np.asarray([toks]))[0]
+        self.tokens = toks
+        return logits
 
     def prefill_batch(self, prompts: Sequence[Sequence[int]]) -> np.ndarray:
-        """One exchange for up to ``MAX_PREFILL_ROWS`` equal-length prompts;
-        returns their ``(rows, vocab)`` last-position logits.
+        """Last-position logits of every prompt, ``(len(prompts), vocab)`` in
+        prompt order.
 
-        The client keeps no state, so the session may batch again; the
-        server re-initialises this session's cache on every call. A session
-        that has batched still cannot decode.
+        Prompts of one length share exchanges of at most ``MAX_PREFILL_ROWS``
+        rows, lengths in first-seen order. The session is left with no prefix
+        and no caches, so decoding needs a fresh ``prefill``.
         """
-        if self._prefilled:
-            raise ProtocolError("session already prefilled; batch on a fresh session")
-        if not 0 < len(prompts) <= MAX_PREFILL_ROWS:
-            raise ShapeError(
-                f"a batched prefill takes 1 to {MAX_PREFILL_ROWS} prompts, got {len(prompts)}"
-            )
+        if not prompts:
+            raise ShapeError("a batched prefill takes at least one prompt")
         rows = [self._check_prompt(p) for p in prompts]
-        lengths = sorted({len(r) for r in rows})
-        if len(lengths) != 1:
-            raise ShapeError(f"batched prompts must share one length, got lengths {lengths}")
-        return self._exchange_prefix(np.asarray(rows), cached=False)
+        self._restart(with_caches=False)
+        logits = np.empty((len(rows), self.back.config.vocab_size))
+        for length in dict.fromkeys(map(len, rows)):
+            group = [i for i, row in enumerate(rows) if len(row) == length]
+            for start in range(0, len(group), MAX_PREFILL_ROWS):
+                chunk = group[start:start + MAX_PREFILL_ROWS]
+                logits[chunk] = self._exchange_prefix(np.asarray([rows[i] for i in chunk]))
+        return logits
 
     def decode_step(self, last_token: int) -> np.ndarray:
         """Feed one token; returns the logits predicting the next one."""
-        if not self._prefilled:
+        if not self.tokens:
             raise ProtocolError("decode before prefill")
         position = len(self.tokens)
         if position >= self.max_context:

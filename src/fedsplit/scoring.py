@@ -7,8 +7,10 @@ log-probabilities. Both are decode-path independent: cached and uncached
 sessions produce the same numbers to float precision.
 
 ``score_single_token`` takes one logit row, so the cloze caller is free to
-produce those rows in batches (``GenerationSession.prefill_batch``): a
-batched row is bitwise the one-row prefill's, and so is its score.
+produce those rows in batches (``GenerationSession.prefill_batch`` takes a
+whole corpus): a batched row is bitwise the one-row prefill's, and so is its
+score. ``score_multi_token`` re-prefills the session it is given, so a caller
+scores every generative item on one session.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ def score_multi_token(
 
     The prompt is prefetched once, then each answer token is scored from the
     current logits and fed back through the decode path, so a cached session
-    pays one single-position exchange per answer token. The session is
-    consumed: score at most one (prompt, answer) pair per session.
+    pays one single-position exchange per answer token. The prefill drops
+    whatever the session held before, so one session scores any number of
+    (prompt, answer) pairs in turn, each as a fresh session would.
     """
     toks = [int(t) for t in answer]
     if not toks:

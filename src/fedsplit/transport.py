@@ -195,14 +195,9 @@ class MessageChannel:
     when passive observers are attached elsewhere).
     """
 
-    def __init__(
-        self,
-        frames,
-        stats: CommStats | None = None,
-        record_frames: bool = False,
-    ):
+    def __init__(self, frames, record_frames: bool = False):
         self._frames = frames
-        self.stats = stats if stats is not None else CommStats()
+        self.stats = CommStats()
         self.sent_log: list[bytes] | None = [] if record_frames else None
         self.recv_log: list[bytes] | None = [] if record_frames else None
 

@@ -50,6 +50,13 @@ def test_invalid_config_exits_2(tmp_path):
     assert cli.main(["train", "-c", str(path)]) == 2
 
 
+def test_comm_scalar_width_config_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, comm={"scalar_width": 8})
+    assert cli.main(["comm-report", "-c", str(cfg), "--output-dir", str(tmp_path / "c")]) == 2
+    assert "scalar_width" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_malformed_corpus_file_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     corpus.write_text("not json {")

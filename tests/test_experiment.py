@@ -33,7 +33,7 @@ from fedsplit.experiment import (
 )
 from fedsplit.inference import InferenceStack
 from fedsplit.model import LoraConfig, ModelConfig, PartitionSpec, build_partitioned
-from fedsplit.scoring import score_single_token
+from fedsplit.scoring import score_multi_token, score_single_token
 from fedsplit.strategies import StrategyConfig
 from fedsplit.training import NoiseConfig
 
@@ -407,10 +407,9 @@ def per_item_reference(cfg, items):
     return per_item, float(np.mean(values))
 
 
-@pytest.mark.parametrize("transport_kind", ["loopback", "tcp"])
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_batched_cloze_eval_is_bitwise_the_per_item_path(tmp_path, monkeypatch,
-                                                         transport_kind, use_cache):
+@pytest.fixture
+def opened_stacks(monkeypatch):
+    """Counts the ``InferenceStack``s the experiment runners open."""
     opened = []
 
     class CountingStack(InferenceStack):
@@ -419,6 +418,14 @@ def test_batched_cloze_eval_is_bitwise_the_per_item_path(tmp_path, monkeypatch,
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "InferenceStack", CountingStack)
+    return opened
+
+
+@pytest.mark.parametrize("transport_kind", ["loopback", "tcp"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_batched_cloze_eval_is_bitwise_the_per_item_path(tmp_path, opened_stacks,
+                                                         transport_kind, use_cache):
+    opened = opened_stacks
     items = mixed_length_cloze_file(tmp_path / "corpus.json")
     raw = base_raw(transport=transport_kind, corpus={"path": str(tmp_path / "corpus.json")},
                    evaluation={"mode": "cloze", "use_cache": use_cache})
@@ -441,6 +448,26 @@ def test_run_eval_generative_logprobs(tmp_path):
     assert all(entry["logprob"] < 0.0 for entry in payload["per_item"])
 
 
+@pytest.mark.parametrize("transport_kind", ["loopback", "tcp"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_generative_eval_scores_every_item_on_one_stack(tmp_path, opened_stacks,
+                                                        transport_kind, use_cache):
+    raw = base_raw(transport=transport_kind, corpus={"task": "lm", "items": 5, "length": 6},
+                   evaluation={"mode": "generative", "use_cache": use_cache})
+    cfg = config_from_dict(raw)
+    payload = run_eval(cfg, tmp_path)["payload"]
+    assert len(opened_stacks) == 1
+    # the reference scores each item on a stack of its own
+    front, middle, back = build_partitioned(cfg.model, cfg.partition, cfg.lora, seed=cfg.seed)
+    reference = []
+    for item in build_corpus(cfg.corpus, cfg.model).items:
+        with InferenceStack(front, middle, back, transport=transport_kind,
+                            use_cache=use_cache) as stack:
+            reference.append(score_multi_token(stack.session, item.prompt, item.answer))
+    assert [entry["logprob"] for entry in payload["per_item"]] == reference
+    assert payload["num_items"] == 5 and payload["score"] == float(np.mean(reference))
+
+
 def test_eval_score_is_decode_path_independent(tmp_path):
     scores = []
     for use_cache in (True, False):
@@ -461,13 +488,20 @@ def test_eval_mode_must_match_corpus(tmp_path):
 
 
 def test_comm_report_mask_arithmetic(tmp_path):
-    raw = base_raw(comm={"batch": 2, "seq_len": 128, "scalar_width": 8,
+    raw = base_raw(comm={"batch": 2, "seq_len": 128,
                          "context_lengths": [8, 32], "new_tokens": 2})
     report = comm_report(config_from_dict(raw), tmp_path)
     mask = report["payload"]["mask"]
+    assert mask["scalar_width"] == 8
     assert mask["dense_bytes"] == 2 * 128 * 128 * 8 == 262144
     assert mask["meta_bytes"] == 24
     assert mask["ratio"] == pytest.approx(262144 / 24)
+
+
+def test_comm_scalar_width_is_not_a_config_field():
+    # the codec writes only 8-byte scalars, so the width is not configurable
+    with pytest.raises(ConfigError, match="scalar_width"):
+        config_from_dict(base_raw(comm={"scalar_width": 8}))
 
 
 def test_comm_report_decode_scaling(tmp_path):
@@ -594,3 +628,20 @@ def test_every_emitted_json_validates_against_a_bundled_schema(tmp_path):
         envelope = json.loads((tmp_path / f"{name}.json").read_text())
         validate_artifact(envelope, "report.schema.json")
         assert envelope["kind"] in name or name == "eval"
+
+
+@pytest.mark.parametrize("transport_kind", ["loopback", "tcp"])
+def test_comm_report_opens_one_stack_per_cache_mode(tmp_path, opened_stacks, transport_kind):
+    raw = base_raw(transport=transport_kind, comm={"context_lengths": [8, 32], "new_tokens": 2})
+    decode = comm_report(config_from_dict(raw), tmp_path)["payload"]["decode"]
+    assert len(opened_stacks) == 2
+    # each stack prefills both context lengths in turn and still measures each
+    # length as a fresh stack would
+    cfg = config_from_dict(raw)
+    segments = build_partitioned(cfg.model, cfg.partition, cfg.lora, seed=cfg.seed)
+    for key, use_cache in (("cached_step_bytes", True), ("uncached_step_bytes", False)):
+        fresh = []
+        for length in (8, 32):
+            with InferenceStack(*segments, transport=transport_kind, use_cache=use_cache) as stack:
+                fresh.append(experiment._decode_step_bytes(stack.session, length, 2))
+        assert decode[key] == fresh

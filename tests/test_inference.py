@@ -25,7 +25,7 @@ from fedsplit.model import (
     build_partitioned,
 )
 from fedsplit.tensor import no_grad
-from fedsplit.wire import CacheStepMsg, HiddenStateMsg, MaskMeta
+from fedsplit.wire import CacheStepMsg, HiddenStateMsg, MaskMeta, decode_message
 
 CFG = ModelConfig(
     vocab_size=32, hidden_size=16, num_heads=2, num_blocks=3, mlp_hidden=24, max_context=48
@@ -197,9 +197,44 @@ def test_prefill_rejects_overlong_and_invalid_prompts():
         with pytest.raises(ShapeError):
             stack.session.prefill([0, CFG.vocab_size])
     with build_stack() as stack:
-        stack.session.prefill([1, 2, 3])
-        with pytest.raises(ProtocolError):
-            stack.session.prefill([1, 2, 3])
+        first = stack.session.prefill([1, 2, 3])
+        # a rejected prompt leaves the session's prefix as it was
+        with pytest.raises(ShapeError):
+            stack.session.prefill([])
+        assert stack.session.tokens == [1, 2, 3]
+        assert stack.session.front_cache.length == 3
+        # a second prefill starts over instead of extending the first
+        np.testing.assert_array_equal(stack.session.prefill([1, 2, 3]), first)
+        assert stack.session.front_cache.length == 3
+        assert stack.server.session_length(stack.session.session_id) == 3
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_reprefilled_session_matches_a_fresh_session(transport, use_cache):
+    rng = np.random.default_rng(13)
+    first, second = random_prompt(rng, 7), random_prompt(rng, 5)
+    decode = GenerationConfig(max_new_tokens=6)
+    sid = 7_000 + int(use_cache)
+    kwargs = dict(transport=transport, use_cache=use_cache, session_id=sid, record_frames=True)
+    with build_stack(**kwargs) as fresh:
+        reference_logits = fresh.session.prefill(second)
+    with build_stack(**kwargs) as fresh:
+        reference = fresh.session.generate(second, decode)
+        reference_frames = (fresh.session.channel.sent_log, fresh.session.channel.recv_log)
+        reference_length = fresh.server.session_length(sid)
+    with build_stack(**kwargs) as stack:
+        session = stack.session
+        assert session.generate(first, decode).ok
+        sent, recv = len(session.channel.sent_log), len(session.channel.recv_log)
+        result = session.generate(second, decode)
+        frames = (session.channel.sent_log[sent:], session.channel.recv_log[recv:])
+        assert stack.server.session_length(sid) == reference_length
+        assert session.tokens == second + result.tokens
+        logits = session.prefill(second)
+    assert result.ok and result.tokens == reference.tokens
+    assert frames == reference_frames
+    np.testing.assert_array_equal(logits, reference_logits)
 
 
 def test_decode_before_prefill_rejected():
@@ -230,9 +265,8 @@ def test_prefill_batch_rows_are_bitwise_one_row_prefills(transport, use_cache):
         stats = stack.session.channel.stats.snapshot()
         assert stack.server.session_length(stack.session.session_id) == 9
         assert stack.session.tokens == []
-        if use_cache:
-            assert stack.session.front_cache.length == 0
-            assert stack.session.back_cache.length == 0
+        assert stack.session.front_cache is None
+        assert stack.session.back_cache is None
     assert logits.shape == (len(prompts), CFG.vocab_size)
     np.testing.assert_array_equal(logits, one_row_logits(prompts, transport, use_cache))
     hidden = stats["classes"]["hidden_state"]
@@ -246,9 +280,12 @@ def test_prefill_batch_guards(transport):
     second = [random_prompt(rng, 6) for _ in range(2)]
     with build_stack(transport=transport) as stack:
         session = stack.session
-        for bad in ([[1, 2, 3], [1, 2]], [], [[1, 2]] * (inference.MAX_PREFILL_ROWS + 1)):
-            with pytest.raises(ShapeError):
-                session.prefill_batch(bad)
+        with pytest.raises(ShapeError):
+            session.prefill_batch([])
+        # unequal lengths and more than MAX_PREFILL_ROWS prompts are split up
+        for prompts in ([[1, 2, 3], [1, 2]], [[1, 2]] * (inference.MAX_PREFILL_ROWS + 1)):
+            np.testing.assert_array_equal(session.prefill_batch(prompts),
+                                          one_row_logits(prompts, transport))
         # two batches on one session equal two fresh sessions' batches
         got = [session.prefill_batch(first), session.prefill_batch(second)]
         assert stack.server.session_length(session.session_id) == 6
@@ -260,10 +297,32 @@ def test_prefill_batch_guards(transport):
     for prompts, logits in zip((first, second), got):
         with build_stack(transport=transport) as fresh:
             np.testing.assert_array_equal(fresh.session.prefill_batch(prompts), logits)
+    # a batch drops a prefilled prefix: decoding needs a fresh prefill
     with build_stack(transport=transport) as stack:
         stack.session.prefill([1, 2, 3])
-        with pytest.raises(ProtocolError):
-            stack.session.prefill_batch([[1, 2, 3]])
+        stack.session.prefill_batch([[1, 2, 3]])
+        with pytest.raises(ProtocolError, match="decode before prefill"):
+            stack.session.decode_step(1)
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_prefill_batch_splits_by_length_and_row_limit(transport):
+    rng = np.random.default_rng(14)
+    limit = inference.MAX_PREFILL_ROWS
+    # lengths 5, 7 and 4 interleaved; 5 and 4 each overflow one exchange
+    lengths = [5, 7, 4] * 3 + [5, 4] * limit
+    prompts = [random_prompt(rng, n) for n in lengths]
+    with build_stack(transport=transport, record_frames=True) as stack:
+        logits = stack.session.prefill_batch(prompts)
+        sent = [decode_message(frame) for frame in stack.session.channel.sent_log]
+        stats = stack.session.channel.stats.snapshot()
+    np.testing.assert_array_equal(logits, one_row_logits(prompts, transport))
+    counts = {n: lengths.count(n) for n in (5, 7, 4)}
+    assert counts == {5: limit + 3, 7: 3, 4: limit + 3}
+    shapes = [msg.payload.shape[:2] for msg in sent]
+    assert shapes == [(limit, 5), (3, 5), (3, 7), (limit, 4), (3, 4)]
+    assert stats["classes"]["hidden_state"]["sent_count"] == len(shapes)
+    assert stats["round_trips"] == len(shapes)
 
 
 # ---------------------------------------------------------------------------

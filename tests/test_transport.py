@@ -232,12 +232,11 @@ def test_tcp_partial_frame_raises_channel_closed():
     sb.close()
 
 
-def test_shared_stats_object_can_serve_multiple_channels():
-    stats = CommStats()
+def test_channel_stats_add_up_across_channels():
     a1, b1 = LoopbackChannel.pair()
     a2, b2 = LoopbackChannel.pair()
-    c1 = MessageChannel(b1, stats=stats)
-    c2 = MessageChannel(b2, stats=stats)
+    c1 = MessageChannel(b1)
+    c2 = MessageChannel(b2)
     s1 = MessageChannel(a1)
     s2 = MessageChannel(a2)
     msg = GradMsg(np.zeros((1, 1)), step_id=0, client_id=0)
@@ -245,7 +244,11 @@ def test_shared_stats_object_can_serve_multiple_channels():
     c2.send(msg)
     s1.recv(timeout=1.0)
     s2.recv(timeout=1.0)
-    assert stats.snapshot()["classes"]["grad"]["sent_count"] == 2
+    # every channel counts on its own; a run-level view sums the channels
+    assert c1.stats is not c2.stats
+    assert c1.stats.snapshot()["classes"]["grad"]["sent_count"] == 1
+    stats = CommStats.sum([c1.stats.snapshot(), c2.stats.snapshot()])
+    assert stats["classes"]["grad"]["sent_count"] == 2
 
 
 @pytest.mark.parametrize("body_len", [2**63, MAX_FRAME_BODY + 1])
