@@ -98,13 +98,8 @@ class CorpusSection:
 
 
 @dataclass(frozen=True)
-class GenerationSection:
+class GenerationSection(GenerationConfig):
     prompt: tuple[int, ...] = (0,)
-    max_new_tokens: int = 16
-    mode: str = "greedy"
-    temperature: float = 1.0
-    stop_token: int | None = None
-    seed: int = 0
     use_cache: bool = True
 
 
@@ -222,9 +217,7 @@ def _build_section(raw: dict, key: str, cls, errors: list[str]):
     data = {k: tuple(v) if isinstance(v, list) else v for k, v in (raw.get(key) or {}).items()}
     try:
         return cls(**data)
-    except FedSplitError as exc:
-        errors.append(f"{key}: {exc}")
-    except TypeError as exc:
+    except (FedSplitError, TypeError) as exc:
         errors.append(f"{key}: {exc}")
     return None
 
@@ -559,13 +552,9 @@ def run_generate(cfg: ExperimentConfig, output_dir=None, segments=None, adapters
     out = _prepare_output_dir(cfg, output_dir)
     gen = cfg.generation
     front, middle, back = _segments(cfg, segments, adapters)
-    decode = GenerationConfig(
-        max_new_tokens=gen.max_new_tokens, mode=gen.mode,
-        temperature=gen.temperature, stop_token=gen.stop_token, seed=gen.seed,
-    )
     with InferenceStack(front, middle, back, transport=cfg.transport,
                         use_cache=gen.use_cache) as stack:
-        result = stack.session.generate(list(gen.prompt), decode)
+        result = stack.session.generate(list(gen.prompt), gen)
     payload = {
         "prompt": list(gen.prompt),
         "tokens": result.tokens,

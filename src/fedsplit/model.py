@@ -11,12 +11,14 @@ All base weights are frozen; training touches only low-rank adapters on the
 attention projections (and, for adversarial probes, fully-trainable clones
 built with ``trainable_base=True``). Monolithic and partitioned builds consume
 the same seeded parameter stream, so a partition is exactly a re-slicing of
-the monolithic parameter set.
+the monolithic parameter set. Each segment owns its slice as one name ->
+Tensor table; its blocks hold the table's Tensors, and every by-name access
+(SGD steps, merges, checkpoints) reads the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ from .errors import CheckpointError, PartitionError, ProtocolError, ShapeError
 from .tensor import Tensor
 
 ATTN_TARGETS = ("query", "key", "value", "out")
+LORA_SUFFIXES = ("lora_a", "lora_b")
 
 
 @dataclass(frozen=True)
@@ -157,19 +160,14 @@ def init_parameter_set(
 
 
 class AdaptedLinear:
-    """Frozen dense projection with an optional trainable low-rank delta."""
+    """Frozen dense projection with an optional trainable low-rank delta,
+    read from the ``{prefix}.weight`` / ``.lora_a`` / ``.lora_b`` entries of
+    a segment's parameter table."""
 
-    def __init__(
-        self,
-        weight: np.ndarray,
-        lora_a: np.ndarray | None = None,
-        lora_b: np.ndarray | None = None,
-        scaling: float = 1.0,
-        trainable_base: bool = False,
-    ):
-        self.weight = Tensor(weight, requires_grad=trainable_base)
-        self.lora_a = Tensor(lora_a, requires_grad=True) if lora_a is not None else None
-        self.lora_b = Tensor(lora_b, requires_grad=True) if lora_b is not None else None
+    def __init__(self, params: dict[str, Tensor], prefix: str, scaling: float):
+        self.weight = params[f"{prefix}.weight"]
+        self.lora_a = params.get(f"{prefix}.lora_a")
+        self.lora_b = params.get(f"{prefix}.lora_b")
         self.scaling = scaling
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -181,38 +179,26 @@ class AdaptedLinear:
 
 
 class Block:
-    """One pre-norm transformer block."""
+    """One pre-norm transformer block over the ``prefix`` entries of a
+    segment's parameter table."""
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        params: dict[str, Tensor],
         prefix: str,
         config: ModelConfig,
         lora: LoraConfig | None,
-        trainable_base: bool = False,
     ):
-        def proj(target: str) -> AdaptedLinear:
-            base = params[f"{prefix}.attn.{target}.weight"]
-            if lora is not None:
-                return AdaptedLinear(
-                    base,
-                    params[f"{prefix}.attn.{target}.lora_a"],
-                    params[f"{prefix}.attn.{target}.lora_b"],
-                    scaling=lora.scaling,
-                    trainable_base=trainable_base,
-                )
-            return AdaptedLinear(base, trainable_base=trainable_base)
-
+        scaling = 1.0 if lora is None else lora.scaling
         self.config = config
-        self.attn_norm = Tensor(params[f"{prefix}.attn_norm.weight"], requires_grad=trainable_base)
-        self.query = proj("query")
-        self.key = proj("key")
-        self.value = proj("value")
-        self.out = proj("out")
-        self.mlp_norm = Tensor(params[f"{prefix}.mlp_norm.weight"], requires_grad=trainable_base)
-        self.gate = Tensor(params[f"{prefix}.mlp.gate.weight"], requires_grad=trainable_base)
-        self.up = Tensor(params[f"{prefix}.mlp.up.weight"], requires_grad=trainable_base)
-        self.down = Tensor(params[f"{prefix}.mlp.down.weight"], requires_grad=trainable_base)
+        self.attn_norm = params[f"{prefix}.attn_norm.weight"]
+        self.query, self.key, self.value, self.out = (
+            AdaptedLinear(params, f"{prefix}.attn.{target}", scaling) for target in ATTN_TARGETS
+        )
+        self.mlp_norm = params[f"{prefix}.mlp_norm.weight"]
+        self.gate = params[f"{prefix}.mlp.gate.weight"]
+        self.up = params[f"{prefix}.mlp.up.weight"]
+        self.down = params[f"{prefix}.mlp.down.weight"]
 
     def forward(
         self,
@@ -241,22 +227,6 @@ class Block:
         hn = T.rms_norm(h, self.mlp_norm, cfg.rms_eps)
         gated = T.mul(T.silu(T.linear(hn, self.gate)), T.linear(hn, self.up))
         return T.add(h, T.linear(gated, self.down))
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        named = {
-            f"{prefix}.attn_norm.weight": self.attn_norm,
-            f"{prefix}.mlp_norm.weight": self.mlp_norm,
-            f"{prefix}.mlp.gate.weight": self.gate,
-            f"{prefix}.mlp.up.weight": self.up,
-            f"{prefix}.mlp.down.weight": self.down,
-        }
-        for target in ATTN_TARGETS:
-            layer = getattr(self, target)
-            named[f"{prefix}.attn.{target}.weight"] = layer.weight
-            if layer.lora_a is not None:
-                named[f"{prefix}.attn.{target}.lora_a"] = layer.lora_a
-                named[f"{prefix}.attn.{target}.lora_b"] = layer.lora_b
-        return named
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +259,29 @@ class SegmentModel:
         self.lora = lora
         self.block_offset = block_offset
         self.trainable_base = trainable_base
-        self.embed: Tensor | None = None
-        self.final_norm: Tensor | None = None
-        self.head: Tensor | None = None
-        if role in ("front", "full"):
-            self.embed = Tensor(params["embed.weight"], requires_grad=False)
-        self.blocks = [
-            Block(params, f"blocks.{block_offset + i}", config, lora, trainable_base)
-            for i in range(num_blocks)
-        ]
+        leaves = ("weight",) if lora is None else ("weight", *LORA_SUFFIXES)
+        names = ["embed.weight"] if role in ("front", "full") else []
+        for i in range(block_offset, block_offset + num_blocks):
+            names += [f"blocks.{i}.{n}.weight"
+                      for n in ("attn_norm", "mlp_norm", "mlp.gate", "mlp.up", "mlp.down")]
+            names += [f"blocks.{i}.attn.{t}.{leaf}" for t in ATTN_TARGETS for leaf in leaves]
         if role in ("back", "full"):
-            self.final_norm = Tensor(params["final_norm.weight"], requires_grad=trainable_base)
-            self.head = Tensor(params["head.weight"], requires_grad=trainable_base)
+            names += ["final_norm.weight", "head.weight"]
+        # the one place trainability is decided: adapters always, base
+        # weights only with ``trainable_base``, the embedding never
+        self._params = {
+            name: Tensor(
+                params[name],
+                requires_grad=name.endswith(LORA_SUFFIXES)
+                or (trainable_base and name != "embed.weight"),
+            )
+            for name in names
+        }
+        self.embed = self._params.get("embed.weight")
+        self.final_norm = self._params.get("final_norm.weight")
+        self.head = self._params.get("head.weight")
+        self.blocks = [Block(self._params, f"blocks.{i}", config, lora)
+                       for i in range(block_offset, block_offset + num_blocks)]
         self._pending: tuple[Tensor | None, Tensor] | None = None
 
     # -- forward / backward ------------------------------------------------
@@ -387,25 +368,13 @@ class SegmentModel:
     # -- parameters ----------------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        named: dict[str, Tensor] = {}
-        if self.embed is not None:
-            named["embed.weight"] = self.embed
-        for i, block in enumerate(self.blocks):
-            named.update(block.parameters(f"blocks.{self.block_offset + i}"))
-        if self.final_norm is not None:
-            named["final_norm.weight"] = self.final_norm
-            named["head.weight"] = self.head
-        return named
+        return dict(self._params)
 
     def trainable_parameters(self) -> dict[str, Tensor]:
-        return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
+        return {n: p for n, p in self._params.items() if p.requires_grad}
 
     def lora_parameters(self) -> dict[str, Tensor]:
-        return {
-            n: p
-            for n, p in self.named_parameters().items()
-            if n.endswith(("lora_a", "lora_b"))
-        }
+        return {n: p for n, p in self._params.items() if n.endswith(LORA_SUFFIXES)}
 
     def collect_grads(self) -> dict[str, np.ndarray]:
         grads: dict[str, np.ndarray] = {}
@@ -416,7 +385,7 @@ class SegmentModel:
         return grads
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {n: p.data.copy() for n, p in self.named_parameters().items()}
+        return {n: p.data.copy() for n, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Overwrite parameters in place from ``state``.
@@ -425,7 +394,7 @@ class SegmentModel:
         slice of a monolithic checkpoint or of a merged parameter set.
         Missing names or shape mismatches fail.
         """
-        for name, p in self.named_parameters().items():
+        for name, p in self._params.items():
             if name not in state:
                 raise CheckpointError(f"checkpoint is missing parameter {name!r}")
             arr = np.asarray(state[name], dtype=np.float64)
@@ -510,16 +479,7 @@ def build_decoder_probe(
     and a well-conditioned parameterization is the attacker's best play no
     matter how the victim scaled its residual stream.
     """
-    probe_cfg = ModelConfig(
-        vocab_size=config.vocab_size,
-        hidden_size=config.hidden_size,
-        num_heads=config.num_heads,
-        num_blocks=max(num_blocks, 1),
-        mlp_hidden=config.mlp_hidden,
-        max_context=config.max_context,
-        rms_eps=config.rms_eps,
-        rope_base=config.rope_base,
-    )
+    probe_cfg = replace(config, num_blocks=max(num_blocks, 1), init_scale=1.0)
     params = init_parameter_set(probe_cfg, None, seed)
     return SegmentModel("back", probe_cfg, None, params, 0, num_blocks, trainable_base=True)
 
@@ -546,25 +506,22 @@ def fedavg_merge(
             raise ProtocolError("merge weights must be non-negative and sum to a positive value")
         w = w / w.sum()
 
-    ref = first.state_dict()
-    lora_names = set(first.lora_parameters())
+    ref = first._params
     for other in models[1:]:
         if other.role != first.role or other.block_offset != first.block_offset:
             raise ProtocolError("cannot merge segments with different roles or block ranges")
-        state = other.state_dict()
-        if set(state) != set(ref):
+        if other._params.keys() != ref.keys():
             raise ProtocolError("cannot merge segments with different parameter sets")
-        for name in ref:
-            if name in lora_names:
-                continue
-            if not np.array_equal(state[name], ref[name]):
+        for name, p in ref.items():
+            frozen = not name.endswith(LORA_SUFFIXES)
+            if frozen and not np.array_equal(other._params[name].data, p.data):
                 raise ProtocolError(f"frozen base weight {name!r} diverged between models")
 
-    merged_state = dict(ref)
-    for name in lora_names:
-        acc = np.zeros_like(ref[name])
+    merged_state = first.state_dict()
+    for name in first.lora_parameters():
+        acc = np.zeros_like(ref[name].data)
         for wi, mdl in zip(w, models):
-            acc = acc + wi * mdl.named_parameters()[name].data
+            acc = acc + wi * mdl._params[name].data
         merged_state[name] = acc
 
     return SegmentModel(

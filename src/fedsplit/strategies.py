@@ -274,11 +274,11 @@ class HierarchicalTrainer(Trainer):
             raise ConfigError(f"strategy expects {config.num_clients} clients, got {n}")
         if len(sub_servers) != n:
             raise ProtocolError("one sub-server per client is required")
-        reference = central.state_dict()
+        reference = central.named_parameters()
         for client, server in zip(clients, sub_servers):
-            state = server.middle.state_dict()
-            if set(state) != set(reference) or any(
-                not np.array_equal(state[k], reference[k]) for k in reference
+            table = server.middle.named_parameters()
+            if table.keys() != reference.keys() or any(
+                not np.array_equal(table[k].data, p.data) for k, p in reference.items()
             ):
                 raise ProtocolError(
                     f"sub-server for client {client.client_id} does not start from "

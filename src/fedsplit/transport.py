@@ -23,6 +23,10 @@ _CLOSE = object()
 # sends are well under 1 MiB; the cap keeps a corrupt or hostile header from
 # choosing the size of the receive allocation.
 MAX_FRAME_BODY = 256 * 2**20
+# Largest single socket read. ``recv(n)`` allocates ``n`` bytes before any
+# arrive, so reading a body in capped chunks keeps a header that announces a
+# large body from allocating more than the bytes its peer actually sends.
+MAX_RECV_CHUNK = 2**20
 
 
 class LoopbackChannel:
@@ -87,7 +91,7 @@ class TcpChannel:
         remaining = n
         while remaining:
             try:
-                chunk = self._sock.recv(remaining)
+                chunk = self._sock.recv(min(remaining, MAX_RECV_CHUNK))
             except socket.timeout:
                 if not (mid_frame or chunks):
                     raise ProtocolError(f"recv timed out after {self._sock.gettimeout()}s") from None

@@ -8,11 +8,12 @@ from pathlib import Path
 from fedsplit import corpus, experiment, inference, model, scoring, strategies  # noqa: F401
 from fedsplit import tensor, training, transport, wire  # noqa: F401
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench(name: str):
+    """Execute ``perfbench/<name>.py`` against the installed package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,7 +34,7 @@ def fedsplit_attributes() -> dict:
 
 
 def test_tracer_installs_every_hook_and_restores_every_original():
-    tracer = load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     before = fedsplit_attributes()
     tracer.install()
     try:
@@ -55,3 +56,13 @@ def test_tracer_installs_every_hook_and_restores_every_original():
     assert after.keys() == before.keys()
     moved = [key for key, value in before.items() if after[key] is not value]
     assert moved == [], f"tracer left patched attributes: {moved}"
+
+
+def test_bench_stages_import_against_the_current_package():
+    """The benchmark stages import fedsplit by name; a removed or renamed name
+    must fail here rather than only when the benchmark runs."""
+    stages = load_perfbench("stages")
+    assert stages.connect_pair is training.connect_pair
+    assert stages.ClientBatchServer is strategies.ClientBatchServer
+    assert stages.build_hierarchical_session is strategies.build_hierarchical_session
+    assert stages.build_partitioned is model.build_partitioned

@@ -9,6 +9,7 @@ from fedsplit.model import (
     LoraConfig,
     ModelConfig,
     PartitionSpec,
+    SegmentModel,
     apply_sgd_step,
     build_decoder_probe,
     build_monolithic,
@@ -306,6 +307,85 @@ def test_load_state_dict_rejects_missing_and_unknown_names():
     state["mystery"] = np.zeros(3)
     front.load_state_dict(state)
     assert "mystery" not in front.state_dict()
+
+
+# ---------------------------------------------------------------------------
+# the segment's parameter table
+
+# Per-block table order. It fixes the key order of ``adapters.npz`` and the
+# summation order of every recorded gradient norm, so it must not move.
+BLOCK_TABLE = (
+    "attn_norm.weight", "mlp_norm.weight", "mlp.gate.weight", "mlp.up.weight", "mlp.down.weight",
+    "attn.query.weight", "attn.query.lora_a", "attn.query.lora_b",
+    "attn.key.weight", "attn.key.lora_a", "attn.key.lora_b",
+    "attn.value.weight", "attn.value.lora_a", "attn.value.lora_b",
+    "attn.out.weight", "attn.out.lora_a", "attn.out.lora_b",
+)
+SEGMENT_CUTS = {"front": (0, 2), "middle": (2, 2), "back": (4, 2), "full": (0, 6)}
+TABLE_LORAS = pytest.mark.parametrize("lora", [LoraConfig(), None], ids=["lora", "no-lora"])
+
+
+def table_segment(role, lora, trainable_base=False, seed=0):
+    offset, count = SEGMENT_CUTS[role]
+    params = init_parameter_set(ModelConfig(), lora, seed)
+    return SegmentModel(role, ModelConfig(), lora, params, offset, count, trainable_base)
+
+
+@TABLE_LORAS
+@pytest.mark.parametrize("role", sorted(SEGMENT_CUTS))
+def test_named_parameters_key_order_is_pinned(role, lora):
+    offset, count = SEGMENT_CUTS[role]
+    per_block = [n for n in BLOCK_TABLE if lora is not None or "lora" not in n]
+    expected = ["embed.weight"] if role in ("front", "full") else []
+    expected += [f"blocks.{i}.{n}" for i in range(offset, offset + count) for n in per_block]
+    if role in ("back", "full"):
+        expected += ["final_norm.weight", "head.weight"]
+    assert list(table_segment(role, lora).named_parameters()) == expected
+
+
+@TABLE_LORAS
+@pytest.mark.parametrize("role", sorted(SEGMENT_CUTS))
+def test_blocks_hold_the_tables_tensors(role, lora):
+    seg = table_segment(role, lora, trainable_base=lora is None)
+    table = seg.named_parameters()
+    for i, block in enumerate(seg.blocks):
+        prefix = f"blocks.{seg.block_offset + i}"
+        for attr, name in (("attn_norm", "attn_norm"), ("mlp_norm", "mlp_norm"),
+                           ("gate", "mlp.gate"), ("up", "mlp.up"), ("down", "mlp.down")):
+            assert getattr(block, attr) is table[f"{prefix}.{name}.weight"]
+        for target in ("query", "key", "value", "out"):
+            layer = getattr(block, target)
+            assert layer.weight is table[f"{prefix}.attn.{target}.weight"]
+            for leaf in ("lora_a", "lora_b"):
+                assert getattr(layer, leaf) is table.get(f"{prefix}.attn.{target}.{leaf}")
+    if role != "front":
+        assert seg.final_norm is table.get("final_norm.weight")
+        assert seg.head is table.get("head.weight")
+    # a step on the table's trainable entries reaches the forward pass
+    rng = np.random.default_rng(2)
+    inputs = (sample_tokens(rng, 1, 5, 256) if role in ("front", "full")
+              else rng.standard_normal((1, 5, 64)))
+    with no_grad():
+        before = seg.forward(inputs).data
+        params = seg.trainable_parameters()
+        assert params
+        apply_sgd_step(params, {n: np.ones_like(p.data) for n, p in params.items()}, lr=0.1)
+        after = seg.forward(inputs).data
+    assert not np.array_equal(after, before)
+
+
+@TABLE_LORAS
+@pytest.mark.parametrize("trainable_base", [False, True])
+def test_requires_grad_per_name(lora, trainable_base):
+    for role in SEGMENT_CUTS:
+        seg = table_segment(role, lora, trainable_base)
+        for name, p in seg.named_parameters().items():
+            if name == "embed.weight":
+                assert not p.requires_grad
+            elif name.endswith(("lora_a", "lora_b")):
+                assert p.requires_grad, name
+            else:
+                assert p.requires_grad == trainable_base, name
 
 
 # ---------------------------------------------------------------------------

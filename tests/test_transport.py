@@ -1,6 +1,7 @@
 """Loopback and TCP transports must carry identical frames."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,25 @@ def test_tcp_rejects_oversized_frame_header_before_reading(body_len):
         sa.send_frame(HEADER.pack(MAGIC, VERSION, CLASS_GRAD, body_len))
         with pytest.raises(FrameError, match="limit"):
             sb.recv_frame(timeout=5.0)
+    finally:
+        sa.close()
+        sb.close()
+
+
+def test_tcp_receive_allocation_follows_bytes_sent_not_bytes_announced():
+    # loopback frames are objects already in memory; only a socket read
+    # sizes its buffer from a peer-written header
+    sa, sb = tcp_pair()
+    try:
+        sa.send_frame(HEADER.pack(MAGIC, VERSION, CLASS_GRAD, MAX_FRAME_BODY) + bytes(10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChannelClosedError, match="mid-frame"):
+                sb.recv_frame(timeout=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak  # the header announced 256 MiB
     finally:
         sa.close()
         sb.close()
