@@ -15,7 +15,7 @@ and bit-identical honest training to a run without it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import exp
 from typing import Sequence
 
@@ -36,7 +36,6 @@ from .strategies import build_clients
 from .training import (
     IGNORE_INDEX,
     NoiseConfig,
-    NoiseSource,
     SequentialTrainer,
     TrainingServer,
     inject_noise,
@@ -239,16 +238,15 @@ def evaluate_reconstruction(
     seq = items.items if isinstance(items, ToyCorpus) else list(items)
     if not seq:
         raise ConfigError("reconstruction evaluation needs at least one item")
-    source = None
-    if noise is not None and noise.target == "forward_hidden":
-        source = NoiseSource(replace(noise, seed=EVAL_NOISE_SEED))
+    scale = noise.scale if noise is not None and noise.target == "forward_hidden" else 0.0
+    rng = np.random.default_rng(EVAL_NOISE_SEED)
     accuracies, bleus, rouges = [], [], []
     for item in seq:
         truth = list(item.full_sequence())[:-1]
         tokens = np.asarray([truth])
         with T.no_grad():
             hidden = front.forward(tokens).data
-        hidden = inject_noise(hidden, source)
+        hidden = inject_noise(hidden, scale, rng)
         predicted = reconstruct_tokens(decoder, hidden)[0].tolist()
         accuracies.append(float(np.mean([p == t for p, t in zip(predicted, truth)])))
         bleus.append(bleu4(predicted, truth))

@@ -175,11 +175,9 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except (
-        CheckpointError, ConfigError, ShapeError, PartitionError, jsonschema.ValidationError
+        CheckpointError, ConfigError, ShapeError, PartitionError, jsonschema.ValidationError,
+        OSError,
     ) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ProtocolError, ChannelClosedError, FrameError) as exc:

@@ -212,11 +212,32 @@ def _require_valid(problems: list[str]) -> None:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
 
-def _build_section(raw: dict, key: str, cls, errors: list[str]):
+# Every config section, under the name ``ExperimentConfig`` gives it. ``lora``
+# is on unless set to null; ``noise`` is off unless given.
+SECTIONS = {
+    "model": ModelConfig,
+    "partition": PartitionSpec,
+    "lora": LoraConfig,
+    "noise": NoiseConfig,
+    "strategy": StrategyConfig,
+    "training": TrainingSection,
+    "corpus": CorpusSection,
+    "generation": GenerationSection,
+    "evaluation": EvalSection,
+    "attack": AttackSection,
+    "comm": CommSection,
+    "grid": GridSection,
+}
+
+
+def _build_section(raw: dict, key: str, errors: list[str]):
+    section = raw.get(key, None if key == "noise" else {})
+    if section is None:
+        return None
     # JSON has no tuples; every sequence-valued section field is a tuple
-    data = {k: tuple(v) if isinstance(v, list) else v for k, v in (raw.get(key) or {}).items()}
+    data = {k: tuple(v) if isinstance(v, list) else v for k, v in section.items()}
     try:
-        return cls(**data)
+        return SECTIONS[key](**data)
     except (FedSplitError, TypeError) as exc:
         errors.append(f"{key}: {exc}")
     return None
@@ -240,23 +261,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
 
     errors: list[str] = []
-    model = _build_section(raw, "model", ModelConfig, errors)
-    partition = _build_section(raw, "partition", PartitionSpec, errors)
-    lora = None
-    if raw.get("lora", {}) is not None:
-        lora = _build_section(raw, "lora", LoraConfig, errors)
-    noise = None
-    if raw.get("noise") is not None:
-        noise = _build_section(raw, "noise", NoiseConfig, errors)
-    strategy = _build_section(raw, "strategy", StrategyConfig, errors)
-    training = _build_section(raw, "training", TrainingSection, errors)
-    corpus = _build_section(raw, "corpus", CorpusSection, errors)
-    generation = _build_section(raw, "generation", GenerationSection, errors)
-    evaluation = _build_section(raw, "evaluation", EvalSection, errors)
-    attack = _build_section(raw, "attack", AttackSection, errors)
-    comm = _build_section(raw, "comm", CommSection, errors)
-    grid = _build_section(raw, "grid", GridSection, errors)
-
+    built = {key: _build_section(raw, key, errors) for key in SECTIONS}
+    model, partition, strategy, corpus = (
+        built[k] for k in ("model", "partition", "strategy", "corpus")
+    )
     if model is not None and partition is not None and partition.total != model.num_blocks:
         errors.append(
             f"partition: blocks ({partition.front}, {partition.middle}, {partition.back}) "
@@ -271,31 +279,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 f"corpus: {corpus.items} items cannot be sharded over "
                 f"{strategy.num_clients} clients"
             )
-    if model is not None and generation is not None and "generation" in raw:
-        errors.extend(_check_generation(model, generation))
-    if model is not None and comm is not None and "comm" in raw:
-        errors.extend(_check_comm(model, comm))
-    if model is not None and attack is not None and "attack" in raw:
-        errors.extend(_check_attack(model, attack))
-    if None not in (corpus, evaluation, model) and "evaluation" in raw:
-        errors.extend(_check_evaluation(corpus, evaluation))
-
-    if errors:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
+    for key, check in (("generation", _check_generation), ("comm", _check_comm),
+                       ("attack", _check_attack)):
+        if model is not None and built[key] is not None and key in raw:
+            errors.extend(check(model, built[key]))
+    if None not in (corpus, built["evaluation"], model) and "evaluation" in raw:
+        errors.extend(_check_evaluation(corpus, built["evaluation"]))
+    _require_valid(errors)
 
     return ExperimentConfig(
-        model=model,
-        partition=partition,
-        lora=lora,
-        noise=noise,
-        strategy=strategy,
-        training=training,
-        corpus=corpus,
-        generation=generation,
-        evaluation=evaluation,
-        attack=attack,
-        comm=comm,
-        grid=grid,
+        **built,
         transport=raw.get("transport", "loopback"),
         seed=int(raw.get("seed", 0)),
         output_dir=Path(raw.get("output_dir", "runs/exp")),
@@ -660,10 +653,8 @@ def _decode_step_bytes(session, context_len: int, new_tokens: int) -> float:
     for _ in range(new_tokens):
         logits = session.decode_step(token)
         token = int(np.argmax(logits))
-    after = session.channel.stats.snapshot()
-    moved = (after["totals"]["sent_bytes"] + after["totals"]["recv_bytes"]
-             - before["totals"]["sent_bytes"] - before["totals"]["recv_bytes"])
-    return moved / new_tokens
+    moved = CommStats.delta(session.channel.stats.snapshot(), before)["totals"]
+    return (moved["sent_bytes"] + moved["recv_bytes"]) / new_tokens
 
 
 def comm_report(cfg: ExperimentConfig, output_dir=None):

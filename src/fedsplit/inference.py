@@ -2,9 +2,10 @@
 
 A generation session prefills (one full-prompt hidden-state exchange) and
 then ships exactly one token's hidden state per decode step in each
-direction, while both sides extend block-local key/value caches. A cache
-entry writes each step in place into buffers that double when full, so a
-decode step copies no history except at the O(log context) growth points.
+direction, while both sides extend block-local key/value caches. Both are one
+exchange, whose reply must echo its session and first position. A cache entry
+writes each step in place into buffers that double when full, so a decode
+step copies no history except at the O(log context) growth points.
 Turning the cache off makes every step recompute the whole prefix, which
 reproduces the same tokens at a per-step cost that grows with context length;
 the cached and uncached paths exist side by side so that equivalence is
@@ -160,6 +161,13 @@ def _select_token(logits: np.ndarray, cfg: GenerationConfig, rng: np.random.Gene
     return int(rng.choice(len(probs), p=probs))
 
 
+def _stamp(msg) -> tuple:
+    """What an inference reply echoes of its request: kind, session, first position."""
+    if isinstance(msg, CacheStepMsg):
+        return "CacheStepMsg", msg.session_id, (msg.position,)
+    return type(msg).__name__, msg.step_id, getattr(msg, "positions", ())[:1]
+
+
 class InferenceServer:
     """Serves prefill and decode for any number of concurrent sessions.
 
@@ -287,21 +295,27 @@ class GenerationSession:
         self.back_cache = KVCache(len(self.back.blocks)) if with_caches else None
         self._steps = itertools.count()
 
-    def _exchange_prefix(self, ids: np.ndarray) -> np.ndarray:
-        """Send a ``(rows, L)`` token array across the split; returns the
-        ``(rows, vocab)`` logits at its last position. The session's caches,
-        if it holds any, fill here."""
+    def _exchange(self, ids: np.ndarray, start: int = 0) -> np.ndarray:
+        """Send a ``(rows, L)`` token array at positions ``start`` onward
+        across the split; returns the ``(rows, vocab)`` logits at its last
+        position. From position 0 it goes as a ``HiddenStateMsg``, which
+        (re)fills the session's caches if it holds any; later it goes as one
+        ``CacheStepMsg`` extending them."""
         rows, length = ids.shape
+        positions = tuple(range(start, start + length))
         with T.no_grad():
-            h = self.front.forward(ids, cache=self.front_cache)
-        reply = self.channel.request(
-            HiddenStateMsg(h.data, MaskMeta(length, 0, rows), tuple(range(length)),
-                           step_id=self.session_id, client_id=0)
-        )
-        if reply.step_id != self.session_id:
-            raise ProtocolError("prefix reply does not belong to this session")
+            h = self.front.forward(ids, positions=positions, cache=self.front_cache)
+        if start == 0:
+            msg = HiddenStateMsg(h.data, MaskMeta(length, 0, rows), positions,
+                                 step_id=self.session_id, client_id=0)
+        else:
+            msg = CacheStepMsg(h.data, position=start, session_id=self.session_id,
+                               step_id=next(self._steps))
+        reply = self.channel.request(msg)
+        if _stamp(reply) != _stamp(msg):
+            raise ProtocolError(f"reply {_stamp(reply)} does not answer request {_stamp(msg)}")
         with T.no_grad():
-            logits = self.back.forward(reply.payload, cache=self.back_cache)
+            logits = self.back.forward(reply.payload, positions=positions, cache=self.back_cache)
         return logits.data[:, -1]
 
     def prefill(self, prompt: Sequence[int]) -> np.ndarray:
@@ -312,7 +326,7 @@ class GenerationSession:
         """
         toks = self._check_prompt(prompt)
         self._restart(with_caches=self.use_cache)
-        logits = self._exchange_prefix(np.asarray([toks]))[0]
+        logits = self._exchange(np.asarray([toks]))[0]
         self.tokens = toks
         return logits
 
@@ -333,7 +347,7 @@ class GenerationSession:
             group = [i for i, row in enumerate(rows) if len(row) == length]
             for start in range(0, len(group), MAX_PREFILL_ROWS):
                 chunk = group[start:start + MAX_PREFILL_ROWS]
-                logits[chunk] = self._exchange_prefix(np.asarray([rows[i] for i in chunk]))
+                logits[chunk] = self._exchange(np.asarray([rows[i] for i in chunk]))
         return logits
 
     def decode_step(self, last_token: int) -> np.ndarray:
@@ -347,23 +361,8 @@ class GenerationSession:
             )
         (token,) = self._check_prompt([last_token])
         self.tokens.append(token)
-        if not self.use_cache:
-            return self._exchange_prefix(np.asarray([self.tokens]))[0]
-        ids = np.asarray([[token]])
-        with T.no_grad():
-            h = self.front.forward(ids, positions=[position], cache=self.front_cache)
-        msg = CacheStepMsg(
-            h.data, position=position, session_id=self.session_id, step_id=next(self._steps)
-        )
-        reply = self.channel.request(msg)
-        if reply.session_id != self.session_id or reply.position != position:
-            raise ProtocolError(
-                f"decode reply for session {reply.session_id} position {reply.position}; "
-                f"expected session {self.session_id} position {position}"
-            )
-        with T.no_grad():
-            logits = self.back.forward(reply.payload, positions=[position], cache=self.back_cache)
-        return logits.data[0, -1]
+        start = position if self.use_cache else 0
+        return self._exchange(np.asarray([self.tokens[start:]]), start)[0]
 
     def generate(self, prompt: Sequence[int], cfg: GenerationConfig) -> GenerationResult:
         """Prefill then decode until the stop token or the token budget.

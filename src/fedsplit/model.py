@@ -490,8 +490,8 @@ def fedavg_merge(
     """Weighted average of the models' adapter parameters.
 
     Frozen base weights must be bitwise identical across the inputs; the
-    result is a fresh segment whose adapters are the weighted mean. A single
-    input comes back as an identical copy.
+    result is a clone of the first input whose adapters are the weighted
+    mean. A single input comes back as an identical copy.
     """
     if not models:
         raise ProtocolError("fedavg_merge needs at least one model")
@@ -517,19 +517,10 @@ def fedavg_merge(
             if frozen and not np.array_equal(other._params[name].data, p.data):
                 raise ProtocolError(f"frozen base weight {name!r} diverged between models")
 
-    merged_state = first.state_dict()
-    for name in first.lora_parameters():
-        acc = np.zeros_like(ref[name].data)
+    merged = first.clone()
+    for name, p in merged.lora_parameters().items():
+        acc = np.zeros_like(p.data)
         for wi, mdl in zip(w, models):
             acc = acc + wi * mdl._params[name].data
-        merged_state[name] = acc
-
-    return SegmentModel(
-        first.role,
-        first.config,
-        first.lora,
-        merged_state,
-        first.block_offset,
-        len(first.blocks),
-        trainable_base=first.trainable_base,
-    )
+        p.data = acc
+    return merged

@@ -16,7 +16,7 @@ the same ``TrainingServer`` trunk, and the same ``Trainer`` lifecycle
   for ``TrainingServer``.
 - ``server_hierarchical``: each client trains against its own trunk replica
   concurrently; every ``sync_interval`` steps the replicas' adapters are
-  averaged and redistributed, FedAvg style.
+  averaged and written back, FedAvg style. Frozen base weights never move.
 """
 
 from __future__ import annotations
@@ -254,7 +254,8 @@ class HierarchicalTrainer(Trainer):
     are a pure function of its data shard and the last merge point. At each
     synchronization the surviving replicas' adapters are averaged (weighted)
     and written back to every survivor and to the central reference trunk;
-    client adapters can optionally be averaged the same way. A pipeline
+    client adapters can optionally be averaged the same way. A merge writes
+    adapters only: every frozen base Tensor keeps its array. A pipeline
     whose phase raised is excluded from that and later merges and reported
     in the merge log.
     """
@@ -355,17 +356,14 @@ class HierarchicalTrainer(Trainer):
         if not live:
             raise ProtocolError("every pipeline has failed; nothing to merge")
         weights = [p.weight for p in live]
-        merged = fedavg_merge([p.server.middle for p in live], weights)
-        state = merged.state_dict()
-        self.central.load_state_dict(state)
-        for p in live:
-            p.server.middle.load_state_dict(state)
+        groups = [([p.server.middle for p in live], [self.central])]
         if self.config.merge_clients:
-            front_state = fedavg_merge([p.client.front for p in live], weights).state_dict()
-            back_state = fedavg_merge([p.client.back for p in live], weights).state_dict()
-            for p in live:
-                p.client.front.load_state_dict(front_state)
-                p.client.back.load_state_dict(back_state)
+            groups += [([p.client.front for p in live], []), ([p.client.back for p in live], [])]
+        for group, also in groups:
+            merged = fedavg_merge(group, weights).lora_parameters()
+            for segment in also + group:
+                for name, param in segment.lora_parameters().items():
+                    param.data = merged[name].data.copy()
         total = sum(weights)
         record = MergeRecord(
             step=at_step,

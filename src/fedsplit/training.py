@@ -6,10 +6,11 @@ backpropagates its loss locally and sends the gradient at the server's
 output, and the server returns the gradient at the cut so the client can
 finish its own backward. Adapters on all three segments step with plain SGD.
 
-Gaussian noise of standard deviation ``scale`` can be added to the hidden
-states the client ships (default target) or, experimentally, to the relayed
-gradient. With ``scale == 0`` every payload is passed through untouched, so a
-zero-noise split run is bit-for-bit the monolithic run.
+Gaussian noise of standard deviation ``scale``, drawn from the client's own
+seeded stream, can be added to the hidden states the client ships (default
+target) or, experimentally, to the relayed gradient. With ``scale == 0`` every
+payload is passed through untouched, so a zero-noise split run is bit-for-bit
+the monolithic run.
 """
 
 from __future__ import annotations
@@ -59,30 +60,15 @@ class NoiseConfig:
             raise ShapeError(f"noise target must be one of {NOISE_TARGETS}")
 
 
-class NoiseSource:
-    """Seeded stream of Gaussian draws; every call samples fresh noise."""
+def inject_noise(h: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Add one fresh Gaussian draw of standard deviation ``scale`` from ``rng``.
 
-    def __init__(self, cfg: NoiseConfig):
-        self.cfg = cfg
-        self._rng = np.random.default_rng(cfg.seed)
-
-    @property
-    def active(self) -> bool:
-        return self.cfg.scale > 0.0 and self.cfg.target != "none"
-
-    def draw(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self._rng.normal(0.0, self.cfg.scale, size=shape)
-
-
-def inject_noise(h: np.ndarray, source: NoiseSource | None) -> np.ndarray:
-    """Add one fresh Gaussian draw to ``h``; identity when inactive.
-
-    The zero-scale path returns ``h`` itself so disabled noise cannot change
-    a single bit of the payload.
+    Zero scale draws nothing and returns ``h`` itself, so disabled noise
+    cannot change a single bit of the payload.
     """
-    if source is None or not source.active:
+    if scale == 0.0:
         return h
-    return h + source.draw(h.shape)
+    return h + rng.normal(0.0, scale, size=h.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +160,8 @@ class TrainingClient:
         self.back = back
         self.channel = channel
         self.lr = lr
-        self.noise = NoiseSource(noise or NoiseConfig(scale=0.0, target="none"))
+        self.noise = noise or NoiseConfig()
+        self._noise_rng = np.random.default_rng(self.noise.seed)
 
     def train_step(self, batch: Batch, step: int) -> TrainStepRecord:
         """One full four-hop relay against the connected server.
@@ -186,8 +173,8 @@ class TrainingClient:
         """
         before = self.channel.stats.snapshot()
         hidden = self.front.forward(batch.tokens, pad_lens=batch.pad_lens).data
-        if self.noise.cfg.target == "forward_hidden":
-            hidden = inject_noise(hidden, self.noise)
+        if self.noise.target == "forward_hidden":
+            hidden = inject_noise(hidden, self.noise.scale, self._noise_rng)
         reply = self.channel.request(
             HiddenStateMsg(
                 hidden,
@@ -207,8 +194,8 @@ class TrainingClient:
         del logits  # so the backward frees the back's tape before the relay's wait
         loss.backward()
         relay = self.back.take_input_grad()
-        if self.noise.cfg.target == "backward_grad":
-            relay = inject_noise(relay, self.noise)
+        if self.noise.target == "backward_grad":
+            relay = inject_noise(relay, self.noise.scale, self._noise_rng)
         grad_reply = self.channel.request(GradMsg(relay, step_id=step, client_id=self.client_id))
         if grad_reply.step_id != step or grad_reply.client_id != self.client_id:
             raise ProtocolError("gradient reply does not match the in-flight step")
@@ -541,11 +528,7 @@ def noise_gradient_propagation_check(
     for delta in deltas:
         norms = []
         for _ in range(draws):
-            if delta == 0.0:
-                noisy = h_clean
-            else:
-                noisy = h_clean + noise_rng.normal(0.0, delta, size=h_clean.shape)
-            g_noisy = weight_grad(noisy)
+            g_noisy = weight_grad(inject_noise(h_clean, delta, noise_rng))
             norms.append(float(np.linalg.norm(g_noisy - g_clean)))
         results.append(float(np.mean(norms)))
     means = dict(zip([float(d) for d in deltas], results))

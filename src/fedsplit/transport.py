@@ -116,11 +116,16 @@ class TcpChannel:
         except OSError as exc:
             raise ChannelClosedError(f"socket recv failed: {exc}") from exc
         header = self._read_exact(HEADER.size, mid_frame=False)
-        _, body_len = parse_header(header)
-        if body_len > MAX_FRAME_BODY:
-            raise FrameError(
-                f"frame announces a {body_len}-byte body, over the {MAX_FRAME_BODY}-byte limit", 6
-            )
+        try:
+            _, body_len = parse_header(header)
+            if body_len > MAX_FRAME_BODY:
+                raise FrameError(
+                    f"frame announces a {body_len}-byte body, over the {MAX_FRAME_BODY}-byte "
+                    "limit", 6
+                )
+        except FrameError:
+            self.close()  # the body's length is unknown, so the stream cannot resync
+            raise
         return header + self._read_exact(body_len, mid_frame=True)
 
     def close(self) -> None:

@@ -1,5 +1,7 @@
 """Split-model generation with mirrored caches versus full recompute."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -532,6 +534,41 @@ def test_transport_failure_returns_partial_result_with_error():
     assert not result.ok
     assert "link dropped" in result.error
     assert result.tokens == clean.tokens[:2]
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [(HiddenStateMsg, "step_id"), (CacheStepMsg, "session_id"), (CacheStepMsg, "position")],
+)
+def test_a_reply_stamped_for_another_session_or_position_is_rejected(transport, kind, field):
+    prompt = [2, 7, 1]
+    with build_stack(seed=3) as reference_stack:
+        clean = reference_stack.session.generate(prompt, GenerationConfig(max_new_tokens=4))
+    front, middle, back = build_partitioned(CFG, PART, seed=3)
+    server = InferenceServer(middle)
+    handle = server.handle
+
+    def restamp(msg):
+        reply = handle(msg)
+        if isinstance(reply, kind):
+            reply = dataclasses.replace(reply, **{field: getattr(reply, field) + 1})
+        return reply
+
+    server.handle = restamp
+    with InferenceStack(front, None, back, transport=transport, server=server) as stack:
+        session = stack.session
+        if kind is HiddenStateMsg:
+            with pytest.raises(ProtocolError):
+                session.prefill(prompt)
+        else:
+            logits = session.prefill(prompt)
+            with pytest.raises(ProtocolError):
+                session.decode_step(int(np.argmax(logits)))
+        result = session.generate(prompt, GenerationConfig(max_new_tokens=4))
+    assert not result.ok
+    assert result.error.startswith("ProtocolError")
+    assert result.tokens == clean.tokens[: 0 if kind is HiddenStateMsg else 1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ from fedsplit.errors import (
     ProtocolError,
     ShapeError,
 )
-from fedsplit.model import ModelConfig, PartitionSpec, build_partitioned
+from fedsplit.model import (
+    LORA_SUFFIXES,
+    ModelConfig,
+    PartitionSpec,
+    build_partitioned,
+    fedavg_merge,
+)
 from fedsplit.strategies import (
     ClientBatchServer,
     ClientBatchTrainer,
@@ -520,6 +526,44 @@ def test_hierarchical_merge_clients_averages_client_adapters():
         front_b = clients[1].front.lora_parameters()
         for name in front_a:
             np.testing.assert_array_equal(front_a[name].data, front_b[name].data)
+
+
+@pytest.mark.parametrize("merge_clients", [False, True])
+def test_hierarchical_merge_writes_adapters_only(merge_clients):
+    """Every frozen base Tensor keeps its array object through a merge, and
+    every merged adapter is bitwise ``fedavg_merge``'s."""
+    central, clients, subs, channels = hierarchical_session(2, seed=23)
+    samplers = {cid: sampler_for(seed=80 + cid) for cid in range(2)}
+    cfg = StrategyConfig(
+        mode="server_hierarchical", num_clients=2, sync_interval=2,
+        merge_weights=(1.0, 3.0), merge_clients=merge_clients,
+    )
+    with HierarchicalTrainer(central, clients, subs, channels, cfg) as trainer:
+        trainer.run_phase(lambda cid, s: samplers[cid].batch_for(s), 0, 2)
+        sides = {
+            "middle": [central] + [s.middle for s in subs],
+            "front": [c.front for c in clients],
+            "back": [c.back for c in clients],
+        }
+        expected = {
+            side: fedavg_merge(segments[-2:], (1.0, 3.0)).lora_parameters()
+            for side, segments in sides.items()
+        }
+        before = {
+            id(seg): {n: p.data for n, p in seg.named_parameters().items()}
+            for segments in sides.values() for seg in segments
+        }
+        trainer.merge(at_step=2)
+    for side, segments in sides.items():
+        merged = side == "middle" or merge_clients
+        for seg in segments:
+            for name, p in seg.named_parameters().items():
+                if not name.endswith(LORA_SUFFIXES):
+                    assert p.data is before[id(seg)][name], name
+                elif merged:
+                    np.testing.assert_array_equal(p.data, expected[side][name].data)
+                else:
+                    assert p.data is before[id(seg)][name], name
 
 
 def test_hierarchical_failed_pipeline_is_excluded_and_reported():

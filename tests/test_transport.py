@@ -314,3 +314,48 @@ def test_serve_channel_closes_on_an_undecodable_frame():
     thread.join(5.0)
     assert not thread.is_alive() and len(failures) == 1
     client.close()
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        HEADER.pack(b"XXXX", VERSION, CLASS_GRAD, 8),
+        HEADER.pack(MAGIC, VERSION + 1, CLASS_GRAD, 8),
+        HEADER.pack(MAGIC, VERSION, 250, 8),
+        HEADER.pack(MAGIC, VERSION, CLASS_GRAD, MAX_FRAME_BODY + 1),
+    ],
+    ids=["magic", "version", "class", "oversized"],
+)
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_a_rejected_frame_header_closes_a_tcp_channel(kind, header):
+    server, client = channel_pair(kind)
+    good = GradMsg(np.arange(4.0).reshape(2, 2), step_id=1, client_id=0)
+    try:
+        client._frames.send_frame(header + bytes(8))
+        client.send(good)
+        with pytest.raises(FrameError):
+            server.recv(timeout=5.0)
+        if kind == "tcp":  # the body's length is unknown, so the stream cannot resync
+            with pytest.raises(ChannelClosedError):
+                server.recv(timeout=5.0)
+        else:  # loopback frames stay separate
+            assert encode_message(server.recv(timeout=5.0)) == encode_message(good)
+    finally:
+        server.close()
+        client.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_an_undecodable_body_keeps_the_channel_in_sync(kind):
+    server, client = channel_pair(kind)
+    good = GradMsg(np.arange(4.0).reshape(2, 2), step_id=1, client_id=0)
+    frame = encode_message(good)
+    try:
+        client._frames.send_frame(frame[: HEADER.size] + b"\xff" * (len(frame) - HEADER.size))
+        client.send(good)
+        with pytest.raises(FrameError, match="scalar width"):
+            server.recv(timeout=5.0)
+        assert encode_message(server.recv(timeout=5.0)) == frame
+    finally:
+        server.close()
+        client.close()
