@@ -36,6 +36,7 @@ from .errors import (
     ChannelClosedError,
     ConfigError,
     ContextOverflowError,
+    FrameError,
     ProtocolError,
     ShapeError,
 )
@@ -367,9 +368,9 @@ class GenerationSession:
     def generate(self, prompt: Sequence[int], cfg: GenerationConfig) -> GenerationResult:
         """Prefill then decode until the stop token or the token budget.
 
-        The stop token is never emitted. Transport failures and protocol
-        violations mid-run return whatever was generated so far with the
-        error recorded instead of raising.
+        The stop token is never emitted. Transport failures, reply frames
+        that do not decode and protocol violations mid-run return whatever
+        was generated so far with the error recorded instead of raising.
         """
         toks = self._check_prompt(prompt)
         rng = np.random.default_rng(cfg.seed)
@@ -382,7 +383,7 @@ class GenerationSession:
                     break
                 out.append(token)
                 logits = self.decode_step(token)
-        except (ChannelClosedError, ProtocolError) as exc:
+        except (ChannelClosedError, FrameError, ProtocolError) as exc:
             return GenerationResult(out, error=f"{type(exc).__name__}: {exc}")
         return GenerationResult(out)
 

@@ -171,11 +171,9 @@ class AdaptedLinear:
         self.scaling = scaling
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.linear(x, self.weight)
-        if self.lora_a is not None:
-            delta = T.linear(T.linear(x, self.lora_a), self.lora_b)
-            y = T.add(y, T.scale(delta, self.scaling))
-        return y
+        if self.lora_a is None:
+            return T.linear(x, self.weight)
+        return T.adapted_linear(x, self.weight, self.lora_a, self.lora_b, self.scaling)
 
 
 class Block:

@@ -19,9 +19,35 @@ Grad mode is per thread: ``no_grad()`` in one thread leaves tape recording on
 in every other thread.
 
 Only the operators needed by the model family live here: dense matmul/linear,
-RMSNorm, SiLU, rotary-embedded masked attention, embedding lookup, and a fused
-softmax cross-entropy loss. All backwards are hand-derived; finite-difference
-tests pin them independently.
+the fused LoRA projection, RMSNorm, SiLU, rotary-embedded masked attention,
+embedding lookup, and a fused softmax cross-entropy loss. All backwards are
+hand-derived; finite-difference tests pin them independently.
+
+Temporaries. A kernel keeps at most one or two full-size temporaries alive
+and writes through ``out=`` or in place. Every fresh buffer of a few hundred
+KB is memory glibc maps and trims again, so each one costs page faults on
+every call, and page faults serialize the client and trunk threads that the
+parallel strategies run side by side. Each rewrite keeps the same elementwise
+operations on the same operands in the same order, and the same reductions
+over the same contiguous layouts, so every value and gradient is bitwise
+what the plain formula gives (``tests/test_kernels.py`` holds the plain
+formulas and pins the bits and the peak temporaries). Slow paths avoided:
+- ``np.where`` over a full array, and ``np.where(z > 0, e / z, 0)``: a
+  branch-free form gives the same bits (``exp(min(v, 0))`` for the sigmoid
+  numerator; a division by a row sum patched only on rows whose sum is not
+  positive);
+- ``exp`` over ``-inf`` entries, several times slower than over finite ones:
+  masked scores take no ``exp`` at all and are set to the ``+0.0`` it would
+  give;
+- ufuncs over strided or broadcast operands allocate iterator buffers where a
+  copy does not, so the rotary kernel does its arithmetic on one contiguous
+  half-size buffer and only copies strided halves.
+
+``adapted_linear`` is ``linear(x, w) + scale(linear(linear(x, a), b), c)``
+as one tape node instead of five. Its backward lists ``x`` twice among the
+parents and returns ``(gx_lora, gx_base, gw, ga, gb)``, so ``x`` receives its
+low-rank part before its base part: the order in which the composed graph's
+reverse walk adds them, and with it the same bits.
 """
 
 from __future__ import annotations
@@ -233,6 +259,55 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _make(x.data @ w.data.T, (x, w), backward)
 
 
+def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float) -> Tensor:
+    """LoRA projection ``x @ w.T + ((x @ a.T) @ b.T) * scaling`` as one tape node.
+
+    ``w`` is (out_dim, in_dim), ``a`` (rank, in_dim) and ``b`` (out_dim, rank).
+    Forward and every gradient equal, bit for bit, those of the composed
+    ``add(linear(x, w), scale(linear(linear(x, a), b), scaling))``. ``x`` is
+    listed twice among the parents so that ``Tensor.backward`` adds its
+    low-rank part before its base part, the order the composed graph's
+    reverse walk uses.
+    """
+    x, w, a, b = _wrap(x), _wrap(w), _wrap(a), _wrap(b)
+    if w.data.ndim != 2 or a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError("adapted_linear weights must be 2-D")
+    out_dim, in_dim = w.data.shape
+    rank = a.data.shape[0]
+    if x.data.shape[-1] != in_dim or a.data.shape[1] != in_dim or b.data.shape != (out_dim, rank):
+        raise ShapeError(
+            f"adapted_linear shapes do not chain: x {x.data.shape}, w {w.data.shape}, "
+            f"a {a.data.shape}, b {b.data.shape}"
+        )
+    c = float(scaling)
+    h = x.data @ a.data.T
+    out = x.data @ w.data.T
+    delta = h @ b.data.T
+    delta *= c
+    out += delta
+
+    def backward(g):
+        gx_lora = gx_base = gw = ga = gb = None
+        x2 = x.data.reshape(-1, in_dim)
+        if x.requires_grad or a.requires_grad or b.requires_grad:
+            gd = g * c
+            if b.requires_grad:
+                gb = gd.reshape(-1, out_dim).T @ h.reshape(-1, rank)
+            if x.requires_grad or a.requires_grad:
+                gh = gd @ b.data
+                if x.requires_grad:
+                    gx_lora = gh @ a.data
+                if a.requires_grad:
+                    ga = gh.reshape(-1, rank).T @ x2
+        if x.requires_grad:
+            gx_base = g @ w.data
+        if w.requires_grad:
+            gw = g.reshape(-1, out_dim).T @ x2
+        return gx_lora, gx_base, gw, ga, gb
+
+    return _make(out, (x, x, w, a, b), backward)
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), computed stably for large |x|."""
     x = _wrap(x)
@@ -247,9 +322,17 @@ def silu(x: Tensor) -> Tensor:
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows; for v >= 0 this is
-    # 1 / (1 + exp(-v)) and for v < 0 it is exp(v) / (1 + exp(v)), bit for bit
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    # 1 / (1 + exp(-v)) and for v < 0 it is exp(v) / (1 + exp(v)), bit for bit.
+    # The numerator exp(min(v, 0)) is exactly 1.0 for v >= 0 and exp(-|v|)
+    # for v < 0, with no branch.
+    den = np.abs(v)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out = np.minimum(v, 0.0)
+    np.exp(out, out=out)
+    out /= den
+    return out
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
@@ -263,20 +346,26 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"rms_norm weight shape {weight.data.shape} does not match feature dim {dim}"
         )
-    # the sum and the division np.mean does, without its wrapper
-    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / dim
+    # the sum and the division np.mean does, without its wrapper; the
+    # squares' buffer then holds the output
+    out = x.data * x.data
+    ms = np.add.reduce(out, axis=-1, keepdims=True) / dim
     r = np.sqrt(ms + eps)
-    normed = x.data / r
-    out = normed * weight.data
+    np.divide(x.data, r, out=out)
+    out *= weight.data
 
     def backward(g):
         gx = gw = None
         if weight.requires_grad:
-            gw = (g * normed).reshape(-1, dim).sum(axis=0)
+            gw = (g * (x.data / r)).reshape(-1, dim).sum(axis=0)
         if x.requires_grad:
-            gwx = g * weight.data
-            dot = np.sum(gwx * x.data, axis=-1, keepdims=True)
-            gx = gwx / r - x.data * (dot / (dim * r * r * r))
+            # gx = g*w / r - x * (sum(g*w*x) / (dim * r^3)), in two buffers
+            gx = g * weight.data
+            t = gx * x.data
+            dot = np.sum(t, axis=-1, keepdims=True)
+            np.multiply(x.data, dot / (dim * r * r * r), out=t)
+            gx /= r
+            gx -= t
         return gx, gw
 
     return _make(out, (x, weight), backward)
@@ -382,21 +471,43 @@ def apply_rope(
     elif any(t.shape != (s, hd // 2) for t in tables):
         raise ShapeError(f"rotary tables do not match (seq, head_dim // 2)=({s}, {hd // 2})")
     cos, sin = tables
-    cos = cos[None, None, :, :]
-    sin = sin[None, None, :, :]
-    half = hd // 2
-    x1 = x.data[..., :half]
-    x2 = x.data[..., half:]
-    out = np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
     def backward(g):
-        g1 = g[..., :half]
-        g2 = g[..., half:]
-        # transpose of a rotation is its inverse rotation
-        gx = np.concatenate([g1 * cos + g2 * sin, g2 * cos - g1 * sin], axis=-1)
-        return (gx,)
+        # transpose of a rotation is its inverse rotation: g1*cos + g2*sin and
+        # g2*cos - g1*sin, since a - b*(-s) == a + b*s in IEEE arithmetic
+        return (_rotate(g, cos, -sin),)
 
-    return _make(out, (x,), backward)
+    return _make(_rotate(x.data, cos, sin), (x,), backward)
+
+
+def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """[v1*cos - v2*sin, v2*cos + v1*sin] over the halves of the last axis.
+
+    The arithmetic runs on one contiguous half-size temporary; the strided
+    halves of ``v`` and of the output are only copied, since a ufunc over
+    strided or broadcast operands allocates iterator buffers and a copy does
+    not. Each output half first holds the other half's second product.
+    """
+    half = v.shape[-1] // 2
+    v1, v2 = v[..., :half], v[..., half:]
+    out = np.empty(v.shape)
+    o1, o2 = out[..., :half], out[..., half:]
+    t = np.empty(v1.shape)
+    np.copyto(t, v1)
+    t *= sin
+    np.copyto(o1, t)
+    np.copyto(t, v2)
+    t *= cos
+    t += o1
+    np.copyto(o2, t)
+    np.copyto(t, v2)
+    t *= sin
+    np.copyto(o1, t)
+    np.copyto(t, v1)
+    t *= cos
+    t -= o1
+    np.copyto(o1, t)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +520,39 @@ def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     Rows with no allowed entry come back as all-zero rather than NaN; callers
     only produce such rows for padding positions whose outputs are discarded.
     """
+    return _softmax_in_place(np.array(scores, dtype=np.float64), allowed)
+
+
+def _softmax_in_place(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """``masked_softmax`` written over ``x``, which the caller owns."""
     if allowed.all():
         # with every key visible the general path's masking is a no-op, so
         # for finite row maxima this is the same arithmetic, bit for bit
-        m = np.max(scores, axis=-1, keepdims=True)
+        m = np.max(x, axis=-1, keepdims=True)
         if np.isfinite(m).all():
-            e = np.exp(scores - m)
-            return e / np.sum(e, axis=-1, keepdims=True)
+            x -= m
+            np.exp(x, out=x)
+            x /= np.sum(x, axis=-1, keepdims=True)
+            return x
+    # masked entries hold -inf for the row maximum, then +0.0, which is what
+    # exp(-inf) gives; exp itself runs only over allowed entries, since its
+    # -inf inputs take a slow path
     neg = ~allowed
-    masked = np.where(neg, -np.inf, scores)
-    m = np.max(masked, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(masked - m)
-    e = np.where(neg, 0.0, e)
-    z = np.sum(e, axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        probs = np.where(z > 0.0, e / z, 0.0)
-    return probs
+    np.copyto(x, -np.inf, where=neg)
+    m = np.max(x, axis=-1, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    x -= m
+    np.exp(x, out=x, where=allowed)
+    np.copyto(x, 0.0, where=neg)
+    z = np.sum(x, axis=-1, keepdims=True)
+    # a row whose sum is 0 (fully masked) or NaN comes back all +0.0
+    bad = ~(z > 0.0)
+    if bad.any():
+        np.copyto(x, 0.0, where=bad)
+        z[bad] = 1.0
+    with np.errstate(invalid="ignore"):
+        x /= z
+    return x
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
@@ -449,8 +576,9 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
             f"allowed mask shape {mask.shape} does not match (batch, sq, sk)=({b}, {sq}, {sk})"
         )
     inv_scale = 1.0 / math.sqrt(hd)
-    scores = np.matmul(q.data, k.data.swapaxes(-1, -2)) * inv_scale
-    probs = masked_softmax(scores, mask[:, None, :, :])
+    probs = np.matmul(q.data, k.data.swapaxes(-1, -2))
+    probs *= inv_scale
+    _softmax_in_place(probs, mask[:, None, :, :])
     out = np.matmul(probs, v.data)
 
     def backward(g):
@@ -458,13 +586,17 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
         if v.requires_grad:
             gv = np.matmul(probs.swapaxes(-1, -2), g)
         if q.requires_grad or k.requires_grad:
-            gp = np.matmul(g, v.data.swapaxes(-1, -2))
-            inner = np.sum(gp * probs, axis=-1, keepdims=True)
-            gs = probs * (gp - inner)
+            # gs = probs * (gp - sum(gp * probs)), with gp = g @ v.T, in two buffers
+            gs = np.matmul(g, v.data.swapaxes(-1, -2))
+            inner = np.sum(gs * probs, axis=-1, keepdims=True)
+            gs -= inner
+            gs *= probs
             if q.requires_grad:
-                gq = np.matmul(gs, k.data) * inv_scale
+                gq = np.matmul(gs, k.data)
+                gq *= inv_scale
             if k.requires_grad:
-                gk = np.matmul(gs.swapaxes(-1, -2), q.data) * inv_scale
+                gk = np.matmul(gs.swapaxes(-1, -2), q.data)
+                gk *= inv_scale
         return gq, gk, gv
 
     return _make(out, (q, k, v), backward)
@@ -553,17 +685,18 @@ def softmax_cross_entropy(
         raise ShapeError(f"target id out of range for vocab {vocab}")
 
     m = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - m
-    e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
+    # one buffer: shifted logits, their exp, the softmax, then the gradient
+    grad = logits.data - m
+    np.exp(grad, out=grad)
+    z = grad.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(z[:, 0])
     live_idx = np.nonzero(live)[0]
     nll = lse[live_idx] - logits.data[live_idx, tgt[live_idx]]
     loss_val = nll.sum() / count
 
-    probs = e / z
-    grad = np.zeros_like(logits.data)
-    grad[live_idx] = probs[live_idx]
+    grad /= z
+    if count < rows:
+        grad[~live] = 0.0
     grad[live_idx, tgt[live_idx]] -= 1.0
     grad /= count
 

@@ -537,6 +537,30 @@ def test_transport_failure_returns_partial_result_with_error():
 
 
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_an_undecodable_reply_returns_partial_result_with_error(transport):
+    prompt = [1, 2, 3]
+    with build_stack(seed=3) as reference_stack:
+        clean = reference_stack.session.generate(prompt, GenerationConfig(max_new_tokens=6))
+    with build_stack(seed=3, transport=transport) as stack:
+        frames = stack.server_channel._frames
+        real_send = frames.send_frame
+        sent = []
+
+        def corrupt_third_reply(frame):
+            sent.append(frame)
+            if len(sent) == 3:
+                frame = b"XXXX" + frame[4:]
+            real_send(frame)
+
+        frames.send_frame = corrupt_third_reply
+        result = stack.session.generate(prompt, GenerationConfig(max_new_tokens=6))
+    assert not result.ok
+    assert result.error.startswith("FrameError")
+    assert "bad magic" in result.error
+    assert result.tokens == clean.tokens[:2]
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
 @pytest.mark.parametrize(
     "kind, field",
     [(HiddenStateMsg, "step_id"), (CacheStepMsg, "session_id"), (CacheStepMsg, "position")],
