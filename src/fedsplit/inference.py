@@ -3,9 +3,9 @@
 A generation session prefills (one full-prompt hidden-state exchange) and
 then ships exactly one token's hidden state per decode step in each
 direction, while both sides extend block-local key/value caches. Both are one
-exchange, whose reply must echo its session and first position. A cache entry
-writes each step in place into buffers that double when full, so a decode
-step copies no history except at the O(log context) growth points.
+exchange, whose reply echoes its request. A cache entry writes each step in
+place into buffers that double when full, so a decode step copies no history
+except at the O(log context) growth points.
 Turning the cache off makes every step recompute the whole prefix, which
 reproduces the same tokens at a per-step cost that grows with context length;
 the cached and uncached paths exist side by side so that equivalence is
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .model import SegmentModel
 from .transport import MessageChannel, channel_pair, serve_channel
-from .wire import CacheStepMsg, HiddenStateMsg, MaskMeta
+from .wire import CacheStepMsg, HiddenStateMsg, MaskMeta, reply_to
 
 _SESSION_IDS = itertools.count(1)
 
@@ -162,13 +162,6 @@ def _select_token(logits: np.ndarray, cfg: GenerationConfig, rng: np.random.Gene
     return int(rng.choice(len(probs), p=probs))
 
 
-def _stamp(msg) -> tuple:
-    """What an inference reply echoes of its request: kind, session, first position."""
-    if isinstance(msg, CacheStepMsg):
-        return "CacheStepMsg", msg.session_id, (msg.position,)
-    return type(msg).__name__, msg.step_id, getattr(msg, "positions", ())[:1]
-
-
 class InferenceServer:
     """Serves prefill and decode for any number of concurrent sessions.
 
@@ -217,9 +210,7 @@ class InferenceServer:
                 cache=cache,
             )
         self._sessions[msg.step_id] = cache
-        return HiddenStateMsg(
-            out.data, msg.mask_meta, msg.positions, step_id=msg.step_id, client_id=msg.client_id
-        )
+        return reply_to(msg, out.data)
 
     def _handle_decode(self, msg: CacheStepMsg) -> CacheStepMsg:
         if msg.session_id not in self._sessions:
@@ -243,9 +234,7 @@ class InferenceServer:
             out = self.middle.forward(
                 msg.payload, pad_lens=0, positions=[msg.position], cache=cache
             )
-        return CacheStepMsg(
-            out.data, position=msg.position, session_id=msg.session_id, step_id=msg.step_id
-        )
+        return reply_to(msg, out.data)
 
     def drop_session(self, session_id: int) -> None:
         with self._lock:
@@ -313,8 +302,6 @@ class GenerationSession:
             msg = CacheStepMsg(h.data, position=start, session_id=self.session_id,
                                step_id=next(self._steps))
         reply = self.channel.request(msg)
-        if _stamp(reply) != _stamp(msg):
-            raise ProtocolError(f"reply {_stamp(reply)} does not answer request {_stamp(msg)}")
         with T.no_grad():
             logits = self.back.forward(reply.payload, positions=positions, cache=self.back_cache)
         return logits.data[:, -1]

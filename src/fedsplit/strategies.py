@@ -194,12 +194,9 @@ class ClientBatchTrainer(Trainer):
         for t in threads:
             t.start()
         try:
-            forward = collect_barrier(self.channels, self.barrier_timeout)
-            for reply in self.server.batch_forward(forward):
-                self.channels[reply.client_id].send(reply)
-            backward = collect_barrier(self.channels, self.barrier_timeout)
-            for reply in self.server.batch_backward(backward):
-                self.channels[reply.client_id].send(reply)
+            for hop in (self.server.batch_forward, self.server.batch_backward):
+                for reply in hop(collect_barrier(self.channels, self.barrier_timeout)):
+                    self.channels[reply.client_id].send(reply)
         except Exception:
             cause = failures[:1]  # a client's own error, not what the cleanup below causes
             for ch in self.channels.values():

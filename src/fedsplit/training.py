@@ -32,7 +32,7 @@ from .model import (
 )
 from .tensor import Tensor, reshape, softmax_cross_entropy
 from .transport import MessageChannel, channel_pair, serve_channel
-from .wire import CommStats, GradMsg, HiddenStateMsg, MaskMeta
+from .wire import CommStats, GradMsg, HiddenStateMsg, MaskMeta, reply_to
 
 IGNORE_INDEX = -1
 
@@ -184,11 +184,6 @@ class TrainingClient:
                 client_id=self.client_id,
             )
         )
-        if reply.step_id != step or reply.client_id != self.client_id:
-            raise ProtocolError(
-                f"server replied for step ({reply.client_id}, {reply.step_id}), "
-                f"expected ({self.client_id}, {step})"
-            )
         logits = self.back.forward(reply.payload, pad_lens=batch.pad_lens)
         loss = sequence_loss(logits, batch.targets)[0]
         del logits  # so the backward frees the back's tape before the relay's wait
@@ -197,8 +192,6 @@ class TrainingClient:
         if self.noise.target == "backward_grad":
             relay = inject_noise(relay, self.noise.scale, self._noise_rng)
         grad_reply = self.channel.request(GradMsg(relay, step_id=step, client_id=self.client_id))
-        if grad_reply.step_id != step or grad_reply.client_id != self.client_id:
-            raise ProtocolError("gradient reply does not match the in-flight step")
         self.front.backward(grad_reply.payload)
         norms = {}
         for name, segment in (("front", self.front), ("back", self.back)):
@@ -286,15 +279,7 @@ class TrainingServer:
                 rows = slice(start, start + m.payload.shape[0])
                 start = rows.stop
                 pending[m.client_id] = (m.step_id, rows)
-                replies.append(
-                    HiddenStateMsg(
-                        out.data[rows],
-                        m.mask_meta,
-                        m.positions,
-                        step_id=m.step_id,
-                        client_id=m.client_id,
-                    )
-                )
+                replies.append(reply_to(m, out.data[rows]))
             self._pending = pending
             return replies
 
@@ -329,10 +314,7 @@ class TrainingServer:
             self.last_grads = grads
             self.last_grad_norm = grad_norm(grads)
             apply_sgd_step(self.middle.trainable_parameters(), grads, self.lr)
-            replies = []
-            for m in ordered:
-                rows = self._pending[m.client_id][1]
-                replies.append(GradMsg(input_grad[rows], step_id=m.step_id, client_id=m.client_id))
+            replies = [reply_to(m, input_grad[self._pending[m.client_id][1]]) for m in ordered]
             self._pending = None
             return replies
 

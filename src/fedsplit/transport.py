@@ -2,9 +2,9 @@
 
 Both move the exact bytes produced by the wire codec, so a conversation is
 byte-identical whichever transport carries it. ``MessageChannel`` layers
-encode/decode and traffic accounting on top of either; ``channel_pair``
-builds a connected pair of them and ``serve_channel`` is the one
-request/reply loop every server runs on its end.
+encode/decode, traffic accounting and the reply echo check on top of either;
+``channel_pair`` builds a connected pair of them and ``serve_channel`` is the
+one request/reply loop every server runs on its end.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 from typing import Callable
 
 from .errors import ChannelClosedError, ConfigError, FrameError, ProtocolError
-from .wire import HEADER, CommStats, Message, decode_message, encode_message, parse_header
+from .wire import HEADER, CommStats, Message, decode_message, encode_message, parse_header, stamp
 
 _CLOSE = object()
 
@@ -226,10 +226,13 @@ class MessageChannel:
         return msg
 
     def request(self, msg: Message, timeout: float | None = None) -> Message:
-        """Send and wait for the matching reply; counts one round trip."""
+        """Send and wait for the reply; counts one round trip. A reply that does
+        not echo the request's ``wire.stamp`` raises ``ProtocolError``."""
         self.send(msg)
         reply = self.recv(timeout)
         self.stats.record_round_trip()
+        if stamp(reply) != stamp(msg):
+            raise ProtocolError(f"reply {stamp(reply)} does not answer request {stamp(msg)}")
         return reply
 
     def close(self) -> None:

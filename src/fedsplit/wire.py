@@ -4,11 +4,18 @@ Every message travels as one frame:
 
     magic "FSWP" | version u8 | class u8 | body_len u64 LE | body
 
+Each protocol rule is written once. ``LAYOUT`` lists each message class's
+fields in wire order, payload last, and both codecs walk it. A reply is its
+request with a new payload (``reply_to``), so it echoes the request's
+``stamp``: its class and every field but the payload. ``MessageChannel.request``
+raises ``ProtocolError`` on a reply that does not.
+
 Integers are unsigned 64-bit little-endian; tensor scalars are little-endian
 IEEE float64, behind a per-tensor width byte that is always 8. Decoding is
 strict: bad magic, unknown class, any other scalar width, truncated bodies,
-trailing bytes, or non-finite payloads raise ``FrameError`` carrying the byte
-offset of the problem.
+trailing bytes, non-finite payloads, or a payload whose rows differ from its
+mask's batch raise ``FrameError`` carrying the byte offset of the problem.
+Decoding allocates in proportion to the frame's size, whatever counts it claims.
 
 Attention masks never travel dense. A batch's causal-plus-left-padding mask
 is summarized by ``MaskMeta`` (sequence length, pad length, batch size); the
@@ -19,10 +26,11 @@ uniform-pad encoding is exactly 24 bytes regardless of how large the dense
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -62,18 +70,11 @@ class MaskMeta:
     def __post_init__(self):
         if self.seq_len < 1 or self.batch < 1:
             raise ShapeError("seq_len and batch must be positive")
-        pad = self.pad_len
-        if isinstance(pad, (int, np.integer)):
-            object.__setattr__(self, "pad_len", int(pad))
-            pads = (int(pad),) * self.batch
-        else:
-            pads = tuple(int(p) for p in pad)
-            if len(pads) != self.batch:
-                raise ShapeError(f"got {len(pads)} pad lengths for batch {self.batch}")
-            if all(p == pads[0] for p in pads):
-                object.__setattr__(self, "pad_len", pads[0])
-            else:
-                object.__setattr__(self, "pad_len", pads)
+        shared = isinstance(self.pad_len, (int, np.integer))  # checked once, never expanded
+        pads = (int(self.pad_len),) if shared else tuple(int(p) for p in self.pad_len)
+        if not shared and len(pads) != self.batch:
+            raise ShapeError(f"got {len(pads)} pad lengths for batch {self.batch}")
+        object.__setattr__(self, "pad_len", pads[0] if len(set(pads)) == 1 else pads)
         for p in pads:
             if not 0 <= p < self.seq_len:
                 raise ShapeError(f"pad length {p} out of range for seq_len {self.seq_len}")
@@ -171,13 +172,36 @@ Message = HiddenStateMsg | GradMsg | CacheStepMsg
 
 
 # ---------------------------------------------------------------------------
-# encoding
+# layout, replies and echoes
 
 
-def _encode_u64(out: bytearray, value: int) -> None:
-    if value < 0 or value > 2**64 - 1:
-        raise ShapeError(f"integer {value} does not fit in u64")
-    out += _U64.pack(value)
+# Every field is a u64 except those with a codec of their own in ``_CODECS``.
+LAYOUT = {
+    HiddenStateMsg: ("step_id", "client_id", "mask_meta", "positions", "payload"),
+    GradMsg: ("step_id", "client_id", "payload"),
+    CacheStepMsg: ("step_id", "session_id", "position", "payload"),
+}
+
+
+def reply_to(request: Message, payload: np.ndarray) -> Message:
+    """The reply to ``request``: the request itself with a new payload."""
+    return replace(request, payload=payload)
+
+
+def stamp(msg: Message) -> tuple:
+    """What a reply must echo of its request: class and every field but the payload."""
+    return (type(msg).__name__, *(getattr(msg, name) for name in LAYOUT[type(msg)][:-1]))
+
+
+# ---------------------------------------------------------------------------
+# field codecs
+
+
+def _encode_u64(out: bytearray, *values: int) -> None:
+    for value in values:
+        if value < 0 or value > 2**64 - 1:
+            raise ShapeError(f"integer {value} does not fit in u64")
+        out += _U64.pack(value)
 
 
 def _encode_tensor(out: bytearray, arr: np.ndarray) -> None:
@@ -185,50 +209,15 @@ def _encode_tensor(out: bytearray, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(data)):
         raise ShapeError("refusing to encode a non-finite tensor payload")
     out.append(SCALAR_WIDTH)
-    _encode_u64(out, data.ndim)
-    for dim in data.shape:
-        _encode_u64(out, dim)
+    _encode_u64(out, data.ndim, *data.shape)
     out += np.ascontiguousarray(data, dtype="<f8").tobytes()
 
 
 def _encode_mask_meta(out: bytearray, meta: MaskMeta) -> None:
-    _encode_u64(out, meta.seq_len)
     if meta.uniform:
-        _encode_u64(out, meta.pad_len)
-        _encode_u64(out, meta.batch)
+        _encode_u64(out, meta.seq_len, meta.pad_len, meta.batch)
     else:
-        _encode_u64(out, _PAD_SENTINEL)
-        _encode_u64(out, meta.batch)
-        for p in meta.pads:
-            _encode_u64(out, p)
-
-
-def encode_message(msg: Message) -> bytes:
-    body = bytearray()
-    if isinstance(msg, HiddenStateMsg):
-        _encode_u64(body, msg.step_id)
-        _encode_u64(body, msg.client_id)
-        _encode_mask_meta(body, msg.mask_meta)
-        _encode_u64(body, len(msg.positions))
-        for p in msg.positions:
-            _encode_u64(body, p)
-        _encode_tensor(body, msg.payload)
-    elif isinstance(msg, GradMsg):
-        _encode_u64(body, msg.step_id)
-        _encode_u64(body, msg.client_id)
-        _encode_tensor(body, msg.payload)
-    elif isinstance(msg, CacheStepMsg):
-        _encode_u64(body, msg.step_id)
-        _encode_u64(body, msg.session_id)
-        _encode_u64(body, msg.position)
-        _encode_tensor(body, msg.payload)
-    else:
-        raise ShapeError(f"unknown message type {type(msg).__name__}")
-    return HEADER.pack(MAGIC, VERSION, msg.wire_class, len(body)) + bytes(body)
-
-
-# ---------------------------------------------------------------------------
-# decoding
+        _encode_u64(out, meta.seq_len, _PAD_SENTINEL, meta.batch, *meta.pads)
 
 
 class _Reader:
@@ -246,45 +235,36 @@ class _Reader:
     def u64(self, what: str) -> int:
         return _U64.unpack(self.take(8, what))[0]
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
+
+# A decoder reads one field and sees the fields read before it, so a payload's
+# rows are held to its mask's batch before any row is read.
 
 
-def parse_header(header: bytes) -> tuple[int, int]:
-    """Validate a 14-byte frame header; returns (message class, body length)."""
-    if len(header) < HEADER.size:
-        raise FrameError("frame shorter than header", len(header))
-    magic, version, wire_class, body_len = HEADER.unpack(header[: HEADER.size])
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r}", 0)
-    if version != VERSION:
-        raise FrameError(f"unsupported protocol version {version}", 4)
-    if wire_class not in CLASS_NAMES:
-        raise FrameError(f"unknown message class {wire_class}", 5)
-    return wire_class, body_len
-
-
-def _decode_tensor(r: _Reader) -> np.ndarray:
+def _decode_tensor(r: _Reader, fields: dict) -> np.ndarray:
     width_at = r.pos
-    width = r.u8("tensor scalar width")
+    width = r.take(1, "tensor scalar width")[0]
     if width != SCALAR_WIDTH:
         raise FrameError(f"unsupported tensor scalar width {width}", width_at)
     ndim = r.u64("tensor rank")
     if ndim > 8:
         raise FrameError(f"implausible tensor rank {ndim}", r.pos - 8)
+    shape_at = r.pos
     shape = tuple(r.u64("tensor dim") for _ in range(ndim))
-    count = 1
-    for dim in shape:
-        count *= dim
+    meta = fields.get("mask_meta")
+    if meta is not None and shape[:1] != (meta.batch,):
+        raise FrameError(f"payload shape {shape} does not match mask batch {meta.batch}", shape_at)
     data_at = r.pos
-    raw = r.take(count * SCALAR_WIDTH, "tensor data")
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    raw = r.take(math.prod(shape) * SCALAR_WIDTH, "tensor data")
+    try:
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    except ValueError as exc:  # an empty tensor whose other dims overflow
+        raise FrameError(f"implausible tensor shape {shape}: {exc}", shape_at) from exc
     if not np.all(np.isfinite(arr)):
         raise FrameError("non-finite value in tensor payload", data_at)
     return arr
 
 
-def _decode_mask_meta(r: _Reader) -> MaskMeta:
+def _decode_mask_meta(r: _Reader, fields: dict) -> MaskMeta:
     at = r.pos
     seq_len = r.u64("mask seq_len")
     pad = r.u64("mask pad_len")
@@ -301,6 +281,59 @@ def _decode_mask_meta(r: _Reader) -> MaskMeta:
         raise FrameError(f"invalid mask metadata: {exc}", at) from exc
 
 
+def _decode_positions(r: _Reader, fields: dict) -> tuple[int, ...]:
+    count = r.u64("position count")
+    if count > 2**24:
+        raise FrameError(f"implausible position count {count}", r.pos - 8)
+    return tuple(r.u64("position") for _ in range(count))
+
+
+def _u64_codec(name: str):
+    label = "cache position" if name == "position" else name.replace("_", " ")
+    return _encode_u64, lambda r, fields: r.u64(label)
+
+
+_CODECS = {
+    "mask_meta": (_encode_mask_meta, _decode_mask_meta),
+    "positions": (lambda out, p: _encode_u64(out, len(p), *p), _decode_positions),
+    "payload": (_encode_tensor, _decode_tensor),
+}
+# (name, encoder, decoder) of each field in wire order, per message class
+_PLANS = {
+    cls: tuple((name, *(_CODECS.get(name) or _u64_codec(name))) for name in fields)
+    for cls, fields in LAYOUT.items()
+}
+_BY_WIRE_CLASS = {cls.wire_class: cls for cls in LAYOUT}
+
+
+# ---------------------------------------------------------------------------
+# frames
+
+
+def encode_message(msg: Message) -> bytes:
+    plan = _PLANS.get(type(msg))
+    if plan is None:
+        raise ShapeError(f"unknown message type {type(msg).__name__}")
+    body = bytearray()
+    for name, encode, _ in plan:
+        encode(body, getattr(msg, name))
+    return HEADER.pack(MAGIC, VERSION, msg.wire_class, len(body)) + bytes(body)
+
+
+def parse_header(header: bytes) -> tuple[int, int]:
+    """Validate a 14-byte frame header; returns (message class, body length)."""
+    if len(header) < HEADER.size:
+        raise FrameError("frame shorter than header", len(header))
+    magic, version, wire_class, body_len = HEADER.unpack(header[: HEADER.size])
+    if magic != MAGIC:
+        raise FrameError(f"bad magic {magic!r}", 0)
+    if version != VERSION:
+        raise FrameError(f"unsupported protocol version {version}", 4)
+    if wire_class not in CLASS_NAMES:
+        raise FrameError(f"unknown message class {wire_class}", 5)
+    return wire_class, body_len
+
+
 def decode_message(frame: bytes) -> Message:
     wire_class, body_len = parse_header(frame)
     if len(frame) - HEADER.size != body_len:
@@ -308,31 +341,14 @@ def decode_message(frame: bytes) -> Message:
             f"body length field says {body_len}, frame carries {len(frame) - HEADER.size}",
             6,
         )
+    cls = _BY_WIRE_CLASS[wire_class]
     r = _Reader(frame, HEADER.size)
-    if wire_class == CLASS_HIDDEN:
-        step_id = r.u64("step id")
-        client_id = r.u64("client id")
-        meta = _decode_mask_meta(r)
-        npos = r.u64("position count")
-        if npos > 2**24:
-            raise FrameError(f"implausible position count {npos}", r.pos - 8)
-        positions = tuple(r.u64("position") for _ in range(npos))
-        payload = _decode_tensor(r)
-        msg: Message = HiddenStateMsg(payload, meta, positions, step_id=step_id, client_id=client_id)
-    elif wire_class == CLASS_GRAD:
-        step_id = r.u64("step id")
-        client_id = r.u64("client id")
-        payload = _decode_tensor(r)
-        msg = GradMsg(payload, step_id=step_id, client_id=client_id)
-    else:
-        step_id = r.u64("step id")
-        session_id = r.u64("session id")
-        position = r.u64("cache position")
-        payload = _decode_tensor(r)
-        msg = CacheStepMsg(payload, position=position, session_id=session_id, step_id=step_id)
+    fields: dict = {}
+    for name, _, decode in _PLANS[cls]:
+        fields[name] = decode(r, fields)
     if r.pos != len(frame):
         raise FrameError(f"{len(frame) - r.pos} trailing bytes after message body", r.pos)
-    return msg
+    return cls(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,14 @@ def test_tracer_installs_every_hook_and_restores_every_original():
             ("fedsplit.experiment", "score_single_token"),
             ("fedsplit.experiment", "write_report"),
             ("fedsplit.training", "TrainingClient", "train_step"),
+            ("fedsplit.training", "TrainingServer", "handle"),
+            ("fedsplit.training", "TrainingServer", "batch_forward"),
+            ("fedsplit.training", "TrainingServer", "batch_backward"),
+            ("fedsplit.inference", "InferenceServer", "handle"),
+            ("fedsplit.wire", "encode_message"),
+            ("fedsplit.wire", "decode_message"),
+            ("fedsplit.transport", "encode_message"),
+            ("fedsplit.transport", "decode_message"),
         ):
             assert hook in patched, hook
     finally:

@@ -563,7 +563,12 @@ def test_an_undecodable_reply_returns_partial_result_with_error(transport):
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
 @pytest.mark.parametrize(
     "kind, field",
-    [(HiddenStateMsg, "step_id"), (CacheStepMsg, "session_id"), (CacheStepMsg, "position")],
+    [
+        (HiddenStateMsg, "step_id"),
+        (CacheStepMsg, "session_id"),
+        (CacheStepMsg, "position"),
+        (CacheStepMsg, "step_id"),
+    ],
 )
 def test_a_reply_stamped_for_another_session_or_position_is_rejected(transport, kind, field):
     prompt = [2, 7, 1]

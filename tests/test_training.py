@@ -1,5 +1,6 @@
 """The four-hop relay, noise injection, and split-vs-monolithic equivalence."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -244,6 +245,46 @@ def test_server_rejects_overlapping_forwards():
     server.handle(_hidden(step_id=0))
     with pytest.raises(ProtocolError):
         server.handle(_hidden(step_id=1))
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        (HiddenStateMsg, "positions"),
+        (HiddenStateMsg, "mask_meta"),
+        (HiddenStateMsg, "step_id"),
+        (HiddenStateMsg, "client_id"),
+        (GradMsg, "step_id"),
+        (GradMsg, "client_id"),
+    ],
+)
+def test_a_training_reply_that_does_not_echo_its_request_is_rejected(transport, kind, field):
+    def changed(reply):
+        value = getattr(reply, field)
+        if field == "positions":
+            return tuple(p + 1 for p in value)
+        if field == "mask_meta":
+            return MaskMeta(value.seq_len + 1, value.pad_len, value.batch)
+        return value + 1
+
+    front, middle, back = build_partitioned(CFG, PART, seed=2)
+    client, server, server_channel = connect_pair(
+        front, middle, back, client_id=0, lr=0.1, transport=transport
+    )
+    handle = server.handle
+
+    def restamp(msg):
+        reply = handle(msg)
+        if isinstance(reply, kind):
+            reply = dataclasses.replace(reply, **{field: changed(reply)})
+        return reply
+
+    server.handle = restamp
+    sampler = sampler_for(seed=2)
+    with SequentialTrainer([client], server, [server_channel]) as trainer:
+        with pytest.raises(ProtocolError):
+            trainer.run(lambda c, r: sampler.batch_for(r), rounds=1)
 
 
 def test_training_server_rejects_cache_messages():

@@ -1,6 +1,7 @@
 """Loopback and TCP transports must carry identical frames."""
 
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -359,3 +360,29 @@ def test_an_undecodable_body_keeps_the_channel_in_sync(kind):
     finally:
         server.close()
         client.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_a_frame_cannot_choose_the_size_of_a_decode_allocation(kind):
+    msg = HiddenStateMsg(np.ones((1, 1, 1)), MaskMeta(1, 0, 1), (0,), step_id=0, client_id=0)
+    frame = bytearray(encode_message(msg))
+    batch_at = HEADER.size + 16 + 16  # past the step and client ids, mask seq_len and pad
+    assert len(frame) == 111 and frame[batch_at : batch_at + 8] == (1).to_bytes(8, "little")
+    frame[batch_at : batch_at + 8] = (2**24).to_bytes(8, "little")
+    server, client = channel_pair(kind)
+    try:
+        client._frames.send_frame(bytes(frame))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(FrameError, match="mask batch"):
+                server.recv(timeout=5.0)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        server.close()
+        client.close()
+    assert elapsed < 1.0, elapsed
+    assert peak < 2**20, peak  # one shared pad for 2**24 rows would be a 128 MiB tuple

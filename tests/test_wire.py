@@ -1,10 +1,15 @@
 """Wire-format conformance: mask compression, frame codec, traffic counters."""
 
+import dataclasses
+import hashlib
+import resource
 import threading
+from contextlib import contextmanager
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedsplit.errors import FrameError, ShapeError
@@ -12,6 +17,7 @@ from fedsplit.wire import (
     CLASS_GRAD,
     CLASS_HIDDEN,
     HEADER,
+    LAYOUT,
     MAGIC,
     CacheStepMsg,
     CommStats,
@@ -23,6 +29,8 @@ from fedsplit.wire import (
     encode_message,
     parse_header,
     reconstruct_mask,
+    reply_to,
+    stamp,
 )
 
 
@@ -69,6 +77,13 @@ def test_mask_meta_validates_ranges():
         MaskMeta(4, (0, 1, 2), 2)
     with pytest.raises(ShapeError):
         MaskMeta(0, 0, 1)
+
+
+def test_a_shared_pad_is_checked_once_not_per_row():
+    meta = MaskMeta(8, 3, 2**40)  # a per-row tuple this long would not fit in memory
+    assert meta.uniform and meta.pad_len == 3 and meta.wire_size() == 24
+    with pytest.raises(ShapeError):
+        MaskMeta(8, 8, 2**40)
 
 
 def test_reconstruct_single_position_is_all_allowed():
@@ -252,6 +267,153 @@ def test_roundtrip_property(kind, seed, batch, seq, dim):
     back = decode_message(frame)
     assert type(back) is type(msg)
     assert encode_message(back) == frame
+
+
+def test_layout_lists_every_field_of_every_message_class_once():
+    for cls, fields in LAYOUT.items():
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(cls)), cls
+        assert fields[-1] == "payload", cls
+
+
+def _payload(*shape):
+    n = int(np.prod(shape))
+    return (np.arange(n, dtype=np.float64) - n / 3).reshape(shape) / 8
+
+
+# Length and sha256 of one frame per message shape. Wire version 1 fixes these
+# bytes, so a reordered or relabelled ``LAYOUT`` row fails here.
+PINNED_FRAMES = {
+    "hidden_uniform": (
+        HiddenStateMsg(
+            _payload(2, 3, 4), MaskMeta(3, 1, 2), (0, 1, 2), step_id=2**40, client_id=5
+        ),
+        311, "8789f6ed8c681f32466c993b0879a19d762efb9a1583c057ab0516d6ab5a5e09",
+    ),
+    "hidden_ragged": (
+        HiddenStateMsg(
+            _payload(3, 4, 2), MaskMeta(4, (0, 2, 3), 3), (4, 5, 6, 7), step_id=9, client_id=2**40
+        ),
+        343, "dcf9e6257ba1a62e767953f8436db15457fe0147776088526b94c80c4ab6d193",
+    ),
+    "grad": (
+        GradMsg(_payload(2, 3, 4), step_id=2**40, client_id=5),
+        255, "3662889d20b3b44d905e5048ec4c4f2107c82b31030a45d05fcb371664fecd51",
+    ),
+    "cache_step": (
+        CacheStepMsg(_payload(1, 1, 4), position=7, session_id=3, step_id=2**40),
+        103, "1523aac5a0660270e31621ccf9630a5cc37a996f4cef91df0ad3a35f791f5509",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FRAMES))
+def test_frames_are_pinned(name):
+    msg, size, digest = PINNED_FRAMES[name]
+    frame = encode_message(msg)
+    assert (len(frame), hashlib.sha256(frame).hexdigest()) == (size, digest)
+    assert encode_message(decode_message(frame)) == frame
+
+
+def test_a_payload_whose_rows_differ_from_its_mask_batch_is_a_frame_error():
+    msg = HiddenStateMsg(_payload(2, 3, 4), MaskMeta(3, 0, 3), (0, 1, 2), step_id=0, client_id=0)
+    frame = encode_message(msg)
+    with pytest.raises(FrameError, match="mask batch 3") as err:
+        decode_message(frame)
+    # step and client ids, mask, position count and positions, width byte, rank
+    assert err.value.offset == HEADER.size + 16 + 24 + 8 + 24 + 1 + 8
+
+
+def test_a_mask_seq_len_may_differ_from_the_payload_positions():
+    msg = HiddenStateMsg(_payload(1, 4, 2), MaskMeta(128, 0, 1), (0, 1, 2, 3), step_id=0, client_id=0)
+    frame = encode_message(msg)
+    assert encode_message(decode_message(frame)) == frame
+
+
+def test_an_empty_tensor_with_an_overflowing_shape_is_a_frame_error():
+    frame = bytearray(encode_message(GradMsg(np.zeros((0, 1)), step_id=0, client_id=0)))
+    dims_at = HEADER.size + 16 + 1 + 8
+    frame[dims_at + 8 : dims_at + 16] = (2**63).to_bytes(8, "little")
+    with pytest.raises(FrameError, match="implausible tensor shape") as err:
+        decode_message(bytes(frame))
+    assert err.value.offset == dims_at
+
+
+def test_a_reply_is_its_request_with_a_new_payload():
+    for msg, _, _ in PINNED_FRAMES.values():
+        reply = reply_to(msg, -msg.payload)
+        assert type(reply) is type(msg) and stamp(reply) == stamp(msg)
+        np.testing.assert_array_equal(reply.payload, -msg.payload)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every mutated or truncated frame decodes or raises FrameError
+
+
+FUZZ_FRAMES = [
+    encode_message(msg)
+    for msg in (
+        HiddenStateMsg(_payload(2, 2, 2), MaskMeta(2, 1, 2), (0, 1), step_id=3, client_id=1),
+        HiddenStateMsg(_payload(2, 2, 2), MaskMeta(2, (0, 1), 2), (0, 1), step_id=3, client_id=1),
+        GradMsg(_payload(2, 2, 2), step_id=3, client_id=1),
+        CacheStepMsg(_payload(1, 1, 2), position=4, session_id=2, step_id=3),
+    )
+]
+
+
+@contextmanager
+def address_space_headroom(extra_bytes):
+    """Cap this process's address space at its current size plus ``extra_bytes``,
+    so a decoder that a frame talks into a huge allocation fails fast instead of
+    taking the machine's memory."""
+    try:
+        with open("/proc/self/status") as fh:
+            size_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+    except (OSError, StopIteration):
+        yield  # no way to size the cap on this platform
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size_kb * 1024 + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+U64 = st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 63).map(lambda k: 1 << k))
+
+
+@settings(
+    max_examples=400, derandomize=True, database=None, deadline=timedelta(milliseconds=500),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    index=st.integers(0, len(FUZZ_FRAMES) - 1),
+    # (word, shift, value): overwrite the u64 at body offset 8 * word + shift;
+    # tensor fields sit one byte past the 8-byte grid, behind the width byte
+    words=st.lists(st.tuples(st.integers(0, 16), st.integers(0, 1), U64), max_size=3),
+    flips=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=2),
+    cut=st.none() | st.integers(0, 200),
+    fix_length=st.booleans(),
+)
+def test_a_mutated_frame_decodes_or_raises_frame_error(index, words, flips, cut, fix_length):
+    frame = bytearray(FUZZ_FRAMES[index])
+    for word, shift, value in words:
+        at = HEADER.size + 8 * word + shift
+        frame[at : at + 8] = value.to_bytes(8, "little")
+    for at, byte in flips:
+        frame[at % len(frame)] = byte
+    if cut is not None:
+        frame = frame[:cut]
+    if fix_length and len(frame) >= HEADER.size:
+        frame[6:14] = (len(frame) - HEADER.size).to_bytes(8, "little")
+    with address_space_headroom(512 * 2**20):
+        try:
+            decode_message(bytes(frame))
+        except FrameError:
+            pass
 
 
 # ---------------------------------------------------------------------------
