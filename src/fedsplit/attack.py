@@ -2,14 +2,15 @@
 
 The threat model: the server never tampers with protocol traffic, but one
 colluding client shares its plaintext through a side channel. The server
-trains a private decoder, shaped like the client's own front stack plus a
-vocabulary head, on (hidden states, plaintext) pairs as they pass by, then
+keeps the hidden-state frames that client sent, and once the federation has
+finished it trains a private decoder, shaped like the client's own front
+stack plus a vocabulary head, on (hidden states, plaintext) pairs, then
 tries to invert the hidden states honest clients send. Reconstruction is
 scored with token accuracy, BLEU-4, and ROUGE-2 F1 on held-out honest data.
 
-Training the decoder happens strictly after each reply has been dispatched,
-so a run with the attack enabled produces byte-identical protocol traffic
-and bit-identical honest training to a run without it.
+The decoder never runs while the federation does, so a run with the attack
+enabled produces byte-identical protocol traffic and bit-identical honest
+training to a run without it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .training import (
     inject_noise,
     local_loss_step,
 )
-from .wire import HiddenStateMsg
+from .wire import HiddenStateMsg, decode_message
 
 # Seed of the fresh forward noise drawn when scoring reconstruction.
 EVAL_NOISE_SEED = 9_999
@@ -136,10 +137,11 @@ def normalize_hidden(h: np.ndarray) -> np.ndarray:
 class AttackObserver:
     """Server-side decoder trained on the colluding client's exchanges.
 
-    ``observe`` runs only after each reply has been dispatched, so protocol
-    traffic never waits on it. The plaintext arrives through ``disclose`` -
-    the collusion side channel, which never touches the wire. Messages from
-    clients that disclosed nothing are ignored.
+    ``observe`` takes hidden-state messages decoded from frames the server
+    captured, after the federation has finished, so protocol traffic never
+    waits on it. The plaintext arrives through ``disclose`` - the collusion
+    side channel, which never touches the wire. Messages from clients that
+    disclosed nothing are ignored.
     """
 
     def __init__(self, decoder: SegmentModel, malicious_id: int, lr: float):
@@ -295,7 +297,9 @@ def run_attack(
     honest one whose held-out items are attacked. With ``attack_enabled``
     False the identical federation runs without any observer; the report
     then carries NaN metrics but the same losses and frames, which is what
-    the non-interference audit compares.
+    the non-interference audit compares. With it on, the server end of the
+    colluding client's channel records the frames it receives, and the
+    decoder trains on their hidden states once the federation is over.
     """
     if len(corpora) < 2:
         raise ConfigError(
@@ -312,18 +316,13 @@ def run_attack(
     clients, server_channels = build_clients(
         front, back, len(corpora), lr, noise, record_frames=record_frames
     )
-    server = TrainingServer(middle, lr, observer=observer)
-
+    captured = server_channels[malicious_id]
+    if observer is not None:
+        captured.recv_log = []  # nothing has crossed yet, so this drops no frame
     samplers = client_samplers(corpora, batch_size, seed)
 
-    def source(cid: int, round_index: int):
-        batch = samplers[cid].batch_for(round_index)
-        if observer is not None and cid == malicious_id:
-            observer.disclose(round_index, batch.tokens, batch.pad_lens)
-        return batch
-
-    with SequentialTrainer(clients, server, server_channels) as trainer:
-        records = trainer.run(source, rounds=steps)
+    with SequentialTrainer(clients, TrainingServer(middle, lr), server_channels) as trainer:
+        records = trainer.run(lambda cid, r: samplers[cid].batch_for(r), rounds=steps)
 
     frame_log: list[bytes] = []
     if record_frames:
@@ -331,6 +330,12 @@ def run_attack(
             frame_log += channel.recv_log + channel.sent_log
     scores, pairs = (float("nan"),) * 3, 0
     if observer is not None:
+        received = (decode_message(frame) for frame in captured.recv_log)
+        hidden = (msg for msg in received if isinstance(msg, HiddenStateMsg))
+        for r, msg in enumerate(hidden):  # the colluding client sends one per round
+            batch = samplers[malicious_id].batch_for(r)
+            observer.disclose(r, batch.tokens, batch.pad_lens)
+            observer.observe(msg)
         if attacker.replay_epochs:
             observer.replay(attacker.replay_epochs, seed=attacker.seed + 1)
         scores = evaluate_reconstruction(observer.decoder, clients[honest_id].front, heldout, noise)

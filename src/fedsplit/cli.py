@@ -2,7 +2,8 @@
 
 Every subcommand reads one JSON config file, honors the environment
 overrides (``FEDSPLIT_OUTPUT_DIR`` for the artifact directory,
-``FEDSPLIT_ENDPOINT`` as ``host:port`` for where TCP channel pairs bind),
+``FEDSPLIT_ENDPOINT`` as ``host:port`` for where a TCP config's channel
+pairs bind; it becomes that config's transport, ``tcp:host:port``),
 writes its artifacts, and prints a one-line digest. Exit codes: 0 success,
 2 configuration problem (an unreadable or mismatched ``--adapters`` file
 included), 3 protocol or transport failure, 4 a requested

@@ -22,7 +22,6 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import transport as transport_mod
 from .attack import AttackerConfig, run_attack
 from .corpus import (
     ToyCorpus,
@@ -49,7 +48,6 @@ from .wire import SCALAR_WIDTH, CommStats, MaskMeta
 
 ENV_ENDPOINT = "FEDSPLIT_ENDPOINT"
 ENV_OUTPUT_DIR = "FEDSPLIT_OUTPUT_DIR"
-CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
 _schema_cache: dict[str, jsonschema.Draft202012Validator] = {}
@@ -300,8 +298,9 @@ def load_config(path, env: dict | None = None) -> ExperimentConfig:
     """Read, override from the environment, and validate a config file.
 
     ``FEDSPLIT_OUTPUT_DIR`` replaces the configured output directory and
-    ``FEDSPLIT_ENDPOINT`` (``host:port``) rebinds where TCP channel pairs
-    listen; both win over the file.
+    ``FEDSPLIT_ENDPOINT`` (``host:port``) sets where a TCP config's channel
+    pairs listen, as its transport ``"tcp:HOST:PORT"``; both win over the
+    file. A loopback config ignores the endpoint.
     """
     env = env or {}
     try:
@@ -329,8 +328,8 @@ def load_config(path, env: dict | None = None) -> ExperimentConfig:
         if not 0 <= port_num <= 65535:
             raise ConfigError(f"{ENV_ENDPOINT} port must be in 0-65535, got {port_num}")
     cfg = config_from_dict(raw)
-    if endpoint:  # only a config that validated moves the endpoint
-        transport_mod.set_default_endpoint(host, port_num)
+    if endpoint and cfg.transport == "tcp":
+        cfg.transport = f"tcp:{host}:{port_num}"
     return cfg
 
 

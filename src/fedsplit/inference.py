@@ -195,12 +195,6 @@ class InferenceServer:
             )
 
     def _handle_prefill(self, msg: HiddenStateMsg) -> HiddenStateMsg:
-        seq_len = msg.payload.shape[1]
-        if seq_len > self.middle.config.max_context:
-            raise ContextOverflowError(
-                f"prefill of {seq_len} positions exceeds max context "
-                f"{self.middle.config.max_context}"
-            )
         cache = KVCache(len(self.middle.blocks))
         with T.no_grad():
             out = self.middle.forward(
@@ -221,19 +215,12 @@ class InferenceServer:
                 f"cache desync in session {msg.session_id}: step position {msg.position}, "
                 f"server cache length {cache.length}"
             )
-        if msg.position >= self.middle.config.max_context:
-            raise ContextOverflowError(
-                f"decode position {msg.position} exceeds max context "
-                f"{self.middle.config.max_context}"
-            )
         if msg.payload.shape[1] != 1:
             raise ProtocolError(
                 f"decode payload must cover exactly one position, got {msg.payload.shape}"
             )
         with T.no_grad():
-            out = self.middle.forward(
-                msg.payload, pad_lens=0, positions=[msg.position], cache=cache
-            )
+            out = self.middle.forward(msg.payload, pad_lens=0, cache=cache)
         return reply_to(msg, out.data)
 
     def drop_session(self, session_id: int) -> None:
@@ -292,18 +279,17 @@ class GenerationSession:
         (re)fills the session's caches if it holds any; later it goes as one
         ``CacheStepMsg`` extending them."""
         rows, length = ids.shape
-        positions = tuple(range(start, start + length))
         with T.no_grad():
-            h = self.front.forward(ids, positions=positions, cache=self.front_cache)
+            h = self.front.forward(ids, cache=self.front_cache)
         if start == 0:
-            msg = HiddenStateMsg(h.data, MaskMeta(length, 0, rows), positions,
+            msg = HiddenStateMsg(h.data, MaskMeta(length, 0, rows), tuple(range(length)),
                                  step_id=self.session_id, client_id=0)
         else:
             msg = CacheStepMsg(h.data, position=start, session_id=self.session_id,
                                step_id=next(self._steps))
         reply = self.channel.request(msg)
         with T.no_grad():
-            logits = self.back.forward(reply.payload, positions=positions, cache=self.back_cache)
+            logits = self.back.forward(reply.payload, cache=self.back_cache)
         return logits.data[:, -1]
 
     def prefill(self, prompt: Sequence[int]) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, PartitionError, ProtocolError, ShapeError
+from .errors import CheckpointError, ContextOverflowError, PartitionError, ProtocolError, ShapeError
 from .tensor import Tensor
 
 ATTN_TARGETS = ("query", "key", "value", "out")
@@ -293,7 +293,11 @@ class SegmentModel:
     ) -> Tensor:
         """Run the segment. ``inputs`` is a token array for embedding-owning
         roles and a hidden-state array otherwise. Returns hidden states, or
-        logits for roles owning the head."""
+        logits for roles owning the head.
+
+        A pass covers the positions right after ``cache``'s (from 0 without
+        one); ``positions``, when given, must be exactly those, and they must
+        fit in ``max_context``. Both are checked before any cache write."""
         if self.role in ("front", "full"):
             ids = np.asarray(inputs)
             if ids.ndim != 2:
@@ -302,7 +306,7 @@ class SegmentModel:
             x = T.embedding(self.embed, ids)
             leaf: Tensor | None = None
         else:
-            arr = inputs.data if isinstance(inputs, Tensor) else np.asarray(inputs, dtype=np.float64)
+            arr = np.asarray(inputs, dtype=np.float64)
             if arr.ndim != 3 or arr.shape[-1] != self.config.hidden_size:
                 raise ShapeError(
                     f"hidden input must be (batch, seq, {self.config.hidden_size}), got {arr.shape}"
@@ -310,15 +314,20 @@ class SegmentModel:
             seq_len = arr.shape[1]
             leaf = Tensor(arr, requires_grad=T.grad_enabled())
             x = leaf
-        if positions is None:
-            positions = range(seq_len)
-        positions = list(positions)
-        if len(positions) != seq_len:
-            raise ShapeError(f"got {len(positions)} positions for sequence length {seq_len}")
+        past = 0 if cache is None else cache.length
+        expected = range(past, past + seq_len)
+        if positions is not None and tuple(positions) != tuple(expected):
+            if len(positions) != seq_len:
+                raise ShapeError(f"got {len(positions)} positions for sequence length {seq_len}")
+            raise ProtocolError(f"positions must run from {past} to {expected.stop - 1}")
+        if expected.stop > self.config.max_context:
+            raise ContextOverflowError(
+                f"{seq_len} positions from {past} exceed max context {self.config.max_context}"
+            )
+        positions = expected
 
         entries = [None] * len(self.blocks) if cache is None else cache.entries_for(len(self.blocks))
         if self.blocks:
-            past = 0 if cache is None else cache.length
             allowed = T.causal_mask(x.data.shape[0], past + seq_len, pad_lens, positions)
             rope = T.rope_angles(
                 np.asarray(positions, dtype=np.int64), self.config.head_dim, self.config.rope_base

@@ -162,10 +162,6 @@ def _reachable(root: Tensor) -> list[Tensor]:
     return out
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
@@ -180,7 +176,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add requires equal shapes, got {a.data.shape} and {b.data.shape}")
 
@@ -191,7 +186,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul requires equal shapes, got {a.data.shape} and {b.data.shape}")
 
@@ -204,7 +198,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    x = _wrap(x)
     c = float(factor)
 
     def backward(g):
@@ -215,7 +208,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product (m, k) @ (k, n) -> (m, n)."""
-    a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
             f"matmul takes 2-D operands, got {a.data.ndim}-D and {b.data.ndim}-D"
@@ -239,7 +231,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     ``x`` may carry any leading batch dimensions; the contraction is over the
     last axis only.
     """
-    x, w = _wrap(x), _wrap(w)
     if w.data.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D, got {w.data.shape}")
     if x.data.shape[-1] != w.data.shape[1]:
@@ -269,7 +260,6 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float) -
     low-rank part before its base part, the order the composed graph's
     reverse walk uses.
     """
-    x, w, a, b = _wrap(x), _wrap(w), _wrap(a), _wrap(b)
     if w.data.ndim != 2 or a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("adapted_linear weights must be 2-D")
     out_dim, in_dim = w.data.shape
@@ -310,7 +300,6 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float) -
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), computed stably for large |x|."""
-    x = _wrap(x)
     sig = _sigmoid(x.data)
     out = x.data * sig
 
@@ -340,7 +329,6 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
 
     y_i = w_i * x_i / sqrt(mean_j x_j^2 + eps)
     """
-    x, weight = _wrap(x), _wrap(weight)
     dim = x.data.shape[-1]
     if weight.data.shape != (dim,):
         raise ShapeError(
@@ -373,7 +361,6 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``table[ids]`` for integer id arrays of any shape."""
-    table = _wrap(table)
     idx = np.asarray(ids)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError("embedding ids must be integers")
@@ -392,7 +379,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
     """(batch, seq, dim) -> (batch, heads, seq, dim // heads)."""
-    x = _wrap(x)
     b, s, d = x.data.shape
     if d % num_heads != 0:
         raise ShapeError(f"hidden dim {d} not divisible by {num_heads} heads")
@@ -407,7 +393,6 @@ def split_heads(x: Tensor, num_heads: int) -> Tensor:
 
 def merge_heads(x: Tensor) -> Tensor:
     """(batch, heads, seq, head_dim) -> (batch, seq, heads * head_dim)."""
-    x = _wrap(x)
     b, h, s, hd = x.data.shape
     out = x.data.transpose(0, 2, 1, 3).reshape(b, s, h * hd)
 
@@ -418,7 +403,6 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x = _wrap(x)
     orig = x.data.shape
     try:
         out = x.data.reshape(shape)
@@ -459,7 +443,6 @@ def apply_rope(
     has it (``positions`` and ``base`` are then not read), so several
     rotations at the same positions compute the angles once.
     """
-    x = _wrap(x)
     if x.data.ndim != 4:
         raise ShapeError(f"apply_rope expects 4-D input, got shape {x.data.shape}")
     b, h, s, hd = x.data.shape
@@ -561,7 +544,6 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
     q: (b, h, sq, hd); k, v: (b, h, sk, hd); allowed: bool (b, sq, sk) marking
     which key positions each query may read.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.data.ndim != 4 or k.data.ndim != 4 or v.data.ndim != 4:
         raise ShapeError("attend expects 4-D q, k, v")
     b, h, sq, hd = q.data.shape
@@ -643,7 +625,6 @@ def causal_attention(
     Applies RoPE at the given absolute positions to q and k, then masks each
     query to keys at or before it, excluding left-padding columns.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.data.shape != k.data.shape or q.data.shape != v.data.shape:
         raise ShapeError(
             f"causal_attention requires matching shapes, got {q.data.shape}, {k.data.shape}, {v.data.shape}"
@@ -668,7 +649,6 @@ def softmax_cross_entropy(
     tensor and the eager logits gradient (softmax - onehot) / count, which is
     also what backward propagates.
     """
-    logits = _wrap(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy expects 2-D logits, got {logits.data.shape}")
     tgt = np.asarray(targets)

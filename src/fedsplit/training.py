@@ -212,17 +212,13 @@ class TrainingServer:
     accumulation is linear over batch rows, so the trunk weight gradient of a
     batched pass is the sum of the clients' solo gradients. ``handle`` is the
     one-message case the serve loop calls: there concatenation is a copy, so
-    it is exactly a solo step.
-
-    ``observer`` (if set) sees every client hidden-state message after the
-    reply has been dispatched (``observe`` is the serve loop's after-reply
-    hook), so passive observation cannot reorder or delay protocol traffic.
+    it is exactly a solo step. The server only answers requests: anything
+    that studies the traffic (the attack) reads frames its channels recorded.
     """
 
-    def __init__(self, middle: SegmentModel, lr: float, observer=None):
+    def __init__(self, middle: SegmentModel, lr: float):
         self.middle = middle
         self.lr = lr
-        self.observer = observer
         self.last_grad_norm = 0.0
         self.last_grads: dict[str, np.ndarray] = {}
         self._pending: dict[int, tuple[int, slice]] | None = None
@@ -234,10 +230,6 @@ class TrainingServer:
         if isinstance(msg, GradMsg):
             return self.batch_backward([msg])[0]
         raise ProtocolError(f"unexpected message type {type(msg).__name__}")
-
-    def observe(self, msg) -> None:
-        if self.observer is not None and isinstance(msg, HiddenStateMsg):
-            self.observer.observe(msg)
 
     def batch_forward(self, msgs: Sequence[HiddenStateMsg]) -> list[HiddenStateMsg]:
         """One trunk forward over the client-id-ordered concatenation.
@@ -352,9 +344,7 @@ class Trainer:
         self.server_channels = list(server_channels)
         self.merge_log: list = []
         self._threads = [
-            threading.Thread(
-                target=serve_channel, args=(ch, server.handle, server.observe), daemon=True
-            )
+            threading.Thread(target=serve_channel, args=(ch, server.handle), daemon=True)
             for server, ch in zip(servers, server_channels)
         ]
         for t in self._threads:

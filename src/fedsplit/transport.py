@@ -4,12 +4,15 @@ Both move the exact bytes produced by the wire codec, so a conversation is
 byte-identical whichever transport carries it. ``MessageChannel`` layers
 encode/decode, traffic accounting and the reply echo check on top of either;
 ``channel_pair`` builds a connected pair of them and ``serve_channel`` is the
-one request/reply loop every server runs on its end.
+one request/reply loop every server runs on its end: receive, handle, send.
+Where a TCP pair binds is the caller's to say (``"tcp:HOST:PORT"``); the
+module holds no state of its own.
 """
 
 from __future__ import annotations
 
 import queue
+import re
 import socket
 import threading
 from typing import Callable
@@ -164,25 +167,15 @@ def tcp_connect(host: str, port: int, timeout: float | None = 10.0) -> TcpChanne
     return TcpChannel(sock)
 
 
-DEFAULT_ENDPOINT: tuple[str, int] = ("127.0.0.1", 0)
+def tcp_pair(host: str = "127.0.0.1", port: int = 0) -> tuple[TcpChannel, TcpChannel]:
+    """A connected (server-side, client-side) channel pair on ``host:port``.
 
-
-def set_default_endpoint(host: str, port: int) -> None:
-    """Override where new in-process TCP pairs bind (port 0 picks one)."""
-    global DEFAULT_ENDPOINT
-    DEFAULT_ENDPOINT = (host, int(port))
-
-
-def tcp_pair() -> tuple[TcpChannel, TcpChannel]:
-    """A connected (server-side, client-side) channel pair on ``DEFAULT_ENDPOINT``.
-
-    A fixed port works for pairs created one after another, since each
-    listener closes before the next binds. The kernel completes the
-    handshake into the listener's backlog, so the calling thread can
-    connect and then accept.
+    Port 0 lets the kernel pick one. A fixed port works for pairs created one
+    after another, since each listener closes before the next binds. The
+    kernel completes the handshake into the listener's backlog, so the
+    calling thread can connect and then accept.
     """
-    host = DEFAULT_ENDPOINT[0]
-    listener, port = tcp_listen(*DEFAULT_ENDPOINT)
+    listener, port = tcp_listen(host, port)
     try:
         client = tcp_connect(host, port)
         try:
@@ -199,9 +192,9 @@ class MessageChannel:
     """Encode/decode layer over a frame channel with traffic accounting.
 
     ``stats`` accumulates per-class counters for this endpoint. With
-    ``record_frames`` the raw bytes of every frame sent and received are kept
-    for audits (frame logs must match across transports and must not change
-    when passive observers are attached elsewhere).
+    ``record_frames`` the raw bytes of every frame sent and received are kept,
+    in order: audits compare them across transports and with the attack on or
+    off, and the attack study trains its decoder on the frames it captured.
     """
 
     def __init__(self, frames, record_frames: bool = False):
@@ -242,13 +235,17 @@ class MessageChannel:
 def channel_pair(kind: str, record_frames: bool = False) -> tuple[MessageChannel, MessageChannel]:
     """A connected (server-side, client-side) message channel pair.
 
-    ``kind`` is ``"loopback"`` or ``"tcp"``; ``record_frames`` keeps the raw
-    frames both ends send and receive.
+    ``kind`` is ``"loopback"``, ``"tcp"`` (a kernel-chosen port on
+    127.0.0.1) or ``"tcp:HOST:PORT"``; ``record_frames`` keeps the raw frames
+    both ends send and receive.
     """
+    endpoint = re.fullmatch(r"tcp:(.+):(\d+)", kind)
     if kind == "loopback":
         server_end, client_end = LoopbackChannel.pair()
     elif kind == "tcp":
         server_end, client_end = tcp_pair()
+    elif endpoint and int(endpoint[2]) <= 65535:
+        server_end, client_end = tcp_pair(endpoint[1], int(endpoint[2]))
     else:
         raise ConfigError(f"unknown transport {kind!r}")
     return (
@@ -257,16 +254,11 @@ def channel_pair(kind: str, record_frames: bool = False) -> tuple[MessageChannel
     )
 
 
-def serve_channel(
-    channel: MessageChannel,
-    handle: Callable[[Message], Message],
-    after_reply: Callable[[Message], None] | None = None,
-) -> None:
-    """Answer each request with ``handle(request)`` until either end closes.
+def serve_channel(channel: MessageChannel, handle: Callable[[Message], Message]) -> None:
+    """Receive a request, send ``handle(request)`` back, repeat until either
+    end closes.
 
-    ``after_reply`` (if given) sees each request once its reply has been
-    sent, so work it does cannot delay or reorder protocol traffic. A
-    frame that does not decode or a handler error closes the channel, so the
+    A frame that does not decode or a handler error closes the channel, so the
     peer sees it closed, and propagates.
     """
     while True:
@@ -286,5 +278,3 @@ def serve_channel(
             channel.send(reply)
         except ChannelClosedError:
             return
-        if after_reply is not None:
-            after_reply(msg)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import fedsplit.cli as cli
-from fedsplit import corpus, transport
+from fedsplit import corpus, experiment
 from fedsplit.errors import ChannelClosedError, CheckFailure, FrameError, ProtocolError
 
 
@@ -191,11 +191,10 @@ def test_env_endpoint_rejects_garbage(tmp_path, monkeypatch):
 def test_env_endpoint_rejects_out_of_range_port(tmp_path, monkeypatch, capsys, port):
     cfg = write_config(tmp_path, transport="tcp")
     monkeypatch.setenv("FEDSPLIT_ENDPOINT", f"127.0.0.1:{port}")
-    before = transport.DEFAULT_ENDPOINT
     assert cli.main(["train", "-c", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
     assert "0-65535" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-    assert transport.DEFAULT_ENDPOINT == before
+    assert experiment.load_config(cfg).transport == "tcp"
 
 
 @pytest.mark.parametrize("exc,code", [

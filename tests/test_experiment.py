@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fedsplit import experiment, transport
+from fedsplit import experiment
 from fedsplit.corpus import CorpusItem, ToyCorpus, make_copy_corpus
 from fedsplit.errors import ConfigError
 from fedsplit.experiment import (
@@ -189,26 +189,24 @@ def test_load_config_env_overrides(tmp_path):
     path.write_text(json.dumps(base_raw(output_dir="from_file")))
     cfg = load_config(path, env={"FEDSPLIT_OUTPUT_DIR": str(tmp_path / "from_env")})
     assert cfg.output_dir == tmp_path / "from_env"
-    saved = transport.DEFAULT_ENDPOINT
-    try:
-        load_config(path, env={"FEDSPLIT_ENDPOINT": "127.0.0.1:4455"})
-        assert transport.DEFAULT_ENDPOINT == ("127.0.0.1", 4455)
-        with pytest.raises(ConfigError):
-            load_config(path, env={"FEDSPLIT_ENDPOINT": "no-port-here"})
-    finally:
-        transport.set_default_endpoint(*saved)
+    env = {"FEDSPLIT_ENDPOINT": "127.0.0.1:4455"}
+    assert load_config(path, env=env).transport == "loopback"
+    path.write_text(json.dumps(base_raw(transport="tcp")))
+    cfg = load_config(path, env=env)
+    assert cfg.transport == "tcp:127.0.0.1:4455"
+    assert cfg.raw["transport"] == "tcp"
+    with pytest.raises(ConfigError):
+        load_config(path, env={"FEDSPLIT_ENDPOINT": "no-port-here"})
 
 
 def test_rejected_config_leaves_the_endpoint_alone(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(base_raw(partition={"front": 1, "middle": 1, "back": 1})))
-    saved = transport.DEFAULT_ENDPOINT
-    try:
-        with pytest.raises(ConfigError, match="partition"):
-            load_config(path, env={"FEDSPLIT_ENDPOINT": "127.0.0.1:4455"})
-        assert transport.DEFAULT_ENDPOINT == saved
-    finally:
-        transport.set_default_endpoint(*saved)
+    bad = base_raw(transport="tcp", partition={"front": 1, "middle": 1, "back": 1})
+    path.write_text(json.dumps(bad))
+    with pytest.raises(ConfigError, match="partition"):
+        load_config(path, env={"FEDSPLIT_ENDPOINT": "127.0.0.1:4455"})
+    path.write_text(json.dumps(base_raw(transport="tcp")))
+    assert load_config(path).transport == "tcp"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Every module in the package uses every name it imports.
+"""Every module in the package uses every name it imports, and none rebinds
+a module-level name from inside a function.
 
 No linter ships with the project, so deleted code can leave imports behind
-unnoticed; this guard reads each module with the stdlib ``ast`` module.
+unnoticed, and a ``global`` statement makes state that every caller in the
+process shares; these guards read each module with the stdlib ``ast`` module.
 """
 
 import ast
@@ -35,3 +37,21 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def global_statements(source: str) -> list[str]:
+    return [
+        f"line {node.lineno}: global {', '.join(node.names)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+    ]
+
+
+def test_guard_flags_a_global_statement():
+    source = "LIMIT = 1\n\ndef raise_limit():\n    global LIMIT\n    LIMIT = 2\n"
+    assert global_statements(source) == ["line 4: global LIMIT"]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_global_statement(module):
+    assert global_statements(module.read_text(encoding="utf-8")) == []

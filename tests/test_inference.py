@@ -502,6 +502,16 @@ def test_server_rejects_oversized_prefill_and_foreign_messages():
         server.handle(GradMsg(hidden, step_id=0, client_id=0))
 
 
+def test_server_rejects_a_prefill_whose_positions_skip_ahead():
+    server = InferenceServer(build_partitioned(CFG, PART, seed=0)[1])
+    hidden = np.zeros((1, 4, CFG.hidden_size))
+    msg = HiddenStateMsg(hidden, MaskMeta(4, 0, 1), (0, 1, 2, 10**6), step_id=1, client_id=0)
+    with pytest.raises(ProtocolError, match="positions must run from 0 to 3"):
+        server.handle(msg)
+    with pytest.raises(ProtocolError, match="unknown session"):
+        server.session_length(1)
+
+
 def test_decode_overflow_returns_partial_result_with_error():
     small = ModelConfig(
         vocab_size=32, hidden_size=16, num_heads=2, num_blocks=3, mlp_hidden=24, max_context=6

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedsplit.corpus import BatchSampler, make_copy_corpus
-from fedsplit.errors import DegenerateBatchError, ProtocolError, ShapeError
+from fedsplit.errors import ContextOverflowError, DegenerateBatchError, ProtocolError, ShapeError
 from fedsplit.model import (
     LoraConfig,
     ModelConfig,
@@ -225,6 +225,17 @@ def _hidden(step_id=0, client_id=0, batch=1, seq=4):
         step_id=step_id,
         client_id=client_id,
     )
+
+
+def test_server_rejects_positions_that_skip_ahead():
+    msg = dataclasses.replace(_hidden(), positions=(0, 1, 2, 10**6))
+    with pytest.raises(ProtocolError, match="positions must run from 0 to 3"):
+        _raw_server().handle(msg)
+
+
+def test_server_rejects_a_request_longer_than_the_context():
+    with pytest.raises(ContextOverflowError):
+        _raw_server().handle(_hidden(seq=CFG.max_context + 1))
 
 
 def test_server_rejects_grad_without_forward():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedsplit import transport
-from fedsplit.errors import ChannelClosedError, FrameError, ProtocolError
+from fedsplit.errors import ChannelClosedError, ConfigError, FrameError, ProtocolError
 from fedsplit.transport import (
     MAX_FRAME_BODY,
     LoopbackChannel,
@@ -295,6 +295,39 @@ def test_serve_channel_returns_when_its_channel_closes_before_the_reply(kind):
     client.send(GradMsg(np.zeros((1, 1)), step_id=0, client_id=0))
     serve_channel(server, handle)
     client.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_serve_channel_closes_the_channel_and_reraises_a_handler_error(kind):
+    server, client = channel_pair(kind)
+
+    def handle(msg):
+        raise RuntimeError("handler failed")
+
+    client.send(GradMsg(np.zeros((1, 1)), step_id=0, client_id=0))
+    with pytest.raises(RuntimeError, match="handler failed"):
+        serve_channel(server, handle)
+    with pytest.raises(ChannelClosedError):
+        client.recv(timeout=5.0)
+    client.close()
+
+
+def test_a_tcp_transport_binds_the_endpoint_it_names():
+    probe, port = transport.tcp_listen()
+    probe.close()
+    server, client = channel_pair(f"tcp:127.0.0.1:{port}")
+    try:
+        assert server._frames._sock.getsockname() == ("127.0.0.1", port)
+        msg = make_messages(1, seed=3)[0]
+        client.send(msg)
+        assert encode_message(server.recv(timeout=5.0)) == encode_message(msg)
+    finally:
+        server.close()
+        client.close()
+    bad = ("tcp:", "tcp:127.0.0.1", "tcp:127.0.0.1:port", "tcp:127.0.0.1:65536", "udp:127.0.0.1:1")
+    for kind in bad:
+        with pytest.raises(ConfigError, match="unknown transport"):
+            channel_pair(kind)
 
 
 def test_serve_channel_closes_on_an_undecodable_frame():
