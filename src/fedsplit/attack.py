@@ -134,53 +134,34 @@ def normalize_hidden(h: np.ndarray) -> np.ndarray:
     return arr / np.maximum(rms, 1e-12)
 
 
-class AttackObserver:
-    """Server-side decoder trained on the colluding client's exchanges.
+def train_decoder(
+    decoder: SegmentModel,
+    pairs: Sequence[tuple[np.ndarray, np.ndarray, Sequence[int]]],
+    lr: float,
+    replay_epochs: int = 0,
+    seed: int = 0,
+) -> list[float]:
+    """Fit the decoder to (hidden states, tokens, pads) pairs; return the losses.
 
-    ``observe`` takes hidden-state messages decoded from frames the server
-    captured, after the federation has finished, so protocol traffic never
-    waits on it. The plaintext arrives through ``disclose`` - the collusion
-    side channel, which never touches the wire. Messages from clients that
-    disclosed nothing are ignored.
+    One SGD step per pair in order, then ``replay_epochs`` passes over the
+    pairs, each shuffled by a permutation drawn from ``seed``. Each step
+    predicts every token from its own position; padded positions are not
+    supervised.
     """
-
-    def __init__(self, decoder: SegmentModel, malicious_id: int, lr: float):
-        self.decoder = decoder
-        self.malicious_id = malicious_id
-        self.lr = lr
-        self.pairs: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = []
-        self.losses: list[float] = []
-        self._plaintext: dict[int, tuple[np.ndarray, tuple[int, ...]]] = {}
-
-    def disclose(self, step_id: int, tokens: np.ndarray, pad_lens: Sequence[int]) -> None:
-        self._plaintext[step_id] = (np.array(tokens), tuple(int(p) for p in pad_lens))
-
-    def observe(self, msg: HiddenStateMsg) -> None:
-        if msg.client_id != self.malicious_id:
-            return
-        disclosed = self._plaintext.pop(msg.step_id, None)
-        if disclosed is None:
-            return
-        tokens, pads = disclosed
-        pair = (msg.payload.copy(), tokens, pads)
-        self.pairs.append(pair)
-        self.train_pair(*pair)
-
-    def train_pair(self, hidden: np.ndarray, tokens: np.ndarray, pads: tuple[int, ...]) -> None:
-        """One reconstruction SGD step: predict each token from its position."""
+    rng = np.random.default_rng(seed)
+    order = list(range(len(pairs)))
+    for _ in range(replay_epochs):
+        order += rng.permutation(len(pairs)).tolist()
+    losses = []
+    for idx in order:
+        hidden, tokens, pads = pairs[idx]
         targets = np.array(tokens)
         for row, pad in enumerate(pads):
             targets[row, :pad] = IGNORE_INDEX
-        loss, grads = local_loss_step(self.decoder, normalize_hidden(hidden), targets, pads)
-        apply_sgd_step(self.decoder.trainable_parameters(), grads, self.lr)
-        self.losses.append(loss)
-
-    def replay(self, epochs: int, seed: int = 0) -> None:
-        """Extra offline passes over the captured pairs, shuffled per epoch."""
-        rng = np.random.default_rng(seed)
-        for _ in range(epochs):
-            for idx in rng.permutation(len(self.pairs)):
-                self.train_pair(*self.pairs[idx])
+        loss, _ = local_loss_step(decoder, normalize_hidden(hidden), targets, pads)
+        apply_sgd_step(decoder.trainable_parameters(), decoder.collect_grads(), lr)
+        losses.append(loss)
+    return losses
 
 
 def reconstruct_tokens(decoder: SegmentModel, hidden: np.ndarray, pads=0) -> np.ndarray:
@@ -227,20 +208,20 @@ def evaluate_reconstruction(
     decoder: SegmentModel,
     front: SegmentModel,
     items: ToyCorpus | Sequence[CorpusItem],
-    noise: NoiseConfig | None = None,
+    noise_scale: float = 0.0,
 ) -> tuple[float, float, float]:
     """Score the decoder against hidden states the honest client would send.
 
     Each item is rendered exactly as training would transmit it: the input
     row (everything but the final supervised token), encoded alone by the
     honest front. When the deployment adds forward noise, evaluation draws
-    fresh noise of the same scale, since the attacker only ever sees noised
-    states. Returns mean (token accuracy, BLEU-4, ROUGE-2 F1) over items.
+    fresh noise of the same ``noise_scale``, since the attacker only ever
+    sees noised states. Returns mean (token accuracy, BLEU-4, ROUGE-2 F1)
+    over items.
     """
     seq = items.items if isinstance(items, ToyCorpus) else list(items)
     if not seq:
         raise ConfigError("reconstruction evaluation needs at least one item")
-    scale = noise.scale if noise is not None and noise.target == "forward_hidden" else 0.0
     rng = np.random.default_rng(EVAL_NOISE_SEED)
     accuracies, bleus, rouges = [], [], []
     for item in seq:
@@ -248,7 +229,7 @@ def evaluate_reconstruction(
         tokens = np.asarray([truth])
         with T.no_grad():
             hidden = front.forward(tokens).data
-        hidden = inject_noise(hidden, scale, rng)
+        hidden = inject_noise(hidden, noise_scale, rng)
         predicted = reconstruct_tokens(decoder, hidden)[0].tolist()
         accuracies.append(float(np.mean([p == t for p, t in zip(predicted, truth)])))
         bleus.append(bleu4(predicted, truth))
@@ -295,11 +276,13 @@ def run_attack(
 
     ``corpora[0]`` belongs to the colluding client, ``corpora[1]`` to the
     honest one whose held-out items are attacked. With ``attack_enabled``
-    False the identical federation runs without any observer; the report
+    False the identical federation runs and nothing is decoded; the report
     then carries NaN metrics but the same losses and frames, which is what
     the non-interference audit compares. With it on, the server end of the
-    colluding client's channel records the frames it receives, and the
-    decoder trains on their hidden states once the federation is over.
+    colluding client's channel records the frames it receives. Once the
+    federation is over, the r-th hidden-state message pairs with round r's
+    disclosed batch, and ``train_decoder`` fits the decoder to those pairs.
+    The report's ``noise_scale`` is the forward noise on the hidden states.
     """
     if len(corpora) < 2:
         raise ConfigError(
@@ -308,16 +291,11 @@ def run_attack(
     front, middle, back = build_split_for_depth(config, attacker.depth, lora, seed)
     malicious_id, honest_id = 0, 1
 
-    observer = None
-    if attack_enabled:
-        decoder = build_decoder_probe(config, attacker.depth, attacker.seed)
-        observer = AttackObserver(decoder, malicious_id, attacker.lr)
-
     clients, server_channels = build_clients(
         front, back, len(corpora), lr, noise, record_frames=record_frames
     )
     captured = server_channels[malicious_id]
-    if observer is not None:
+    if attack_enabled:
         captured.recv_log = []  # nothing has crossed yet, so this drops no frame
     samplers = client_samplers(corpora, batch_size, seed)
 
@@ -328,23 +306,22 @@ def run_attack(
     if record_frames:
         for channel in server_channels:
             frame_log += channel.recv_log + channel.sent_log
-    scores, pairs = (float("nan"),) * 3, 0
-    if observer is not None:
+    scale = noise.scale if noise is not None and noise.target == "forward_hidden" else 0.0
+    scores, pairs = (float("nan"),) * 3, []
+    if attack_enabled:
         received = (decode_message(frame) for frame in captured.recv_log)
         hidden = (msg for msg in received if isinstance(msg, HiddenStateMsg))
         for r, msg in enumerate(hidden):  # the colluding client sends one per round
             batch = samplers[malicious_id].batch_for(r)
-            observer.disclose(r, batch.tokens, batch.pad_lens)
-            observer.observe(msg)
-        if attacker.replay_epochs:
-            observer.replay(attacker.replay_epochs, seed=attacker.seed + 1)
-        scores = evaluate_reconstruction(observer.decoder, clients[honest_id].front, heldout, noise)
-        pairs = len(observer.pairs)
+            pairs.append((msg.payload, batch.tokens, batch.pad_lens))
+        decoder = build_decoder_probe(config, attacker.depth, attacker.seed)
+        train_decoder(decoder, pairs, attacker.lr, attacker.replay_epochs, attacker.seed + 1)
+        scores = evaluate_reconstruction(decoder, clients[honest_id].front, heldout, scale)
     return AttackReport(
         attacker.depth,
-        noise.scale if noise else 0.0,
+        scale,
         *scores,
-        train_pairs=pairs,
+        train_pairs=len(pairs),
         eval_sequences=len(heldout),
         honest_losses=[r.loss for r in records if r.client_id == honest_id],
         frame_log=frame_log,

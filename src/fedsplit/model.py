@@ -358,17 +358,6 @@ class SegmentModel:
         self._pending = None
         return None if leaf is None else leaf.grad
 
-    def take_input_grad(self) -> np.ndarray:
-        """After a loss backward already ran through this segment's output,
-        collect the input-leaf gradient and clear the pending state."""
-        if self._pending is None:
-            raise ProtocolError(f"{self.role} segment has no pending forward")
-        leaf, _ = self._pending
-        if leaf is None or leaf.grad is None:
-            raise ProtocolError("no gradient reached the segment input; run a loss backward first")
-        self._pending = None
-        return leaf.grad
-
     def discard_pending(self) -> None:
         self._pending = None
 

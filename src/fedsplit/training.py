@@ -36,7 +36,7 @@ from .wire import CommStats, GradMsg, HiddenStateMsg, MaskMeta, reply_to
 
 IGNORE_INDEX = -1
 
-NOISE_TARGETS = ("none", "forward_hidden", "backward_grad")
+NOISE_TARGETS = ("forward_hidden", "backward_grad")
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,15 @@ def sequence_loss(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarr
 
 def local_loss_step(
     model: SegmentModel, inputs, targets: np.ndarray, pad_lens: Sequence[int] | int = 0
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward, loss and backward through one wholly local model; returns the
-    loss and the collected gradients, which the caller applies."""
-    logits = model.forward(inputs, pad_lens=pad_lens)
-    loss, _ = sequence_loss(logits, targets)
-    loss.backward()
-    model.discard_pending()
-    return float(loss.data), model.collect_grads()
+) -> tuple[float, np.ndarray | None]:
+    """The one place a loss becomes gradients: forward, loss, then the
+    model's own backward seeded with the eager logits gradient.
+
+    Returns the loss and the gradient at the model's hidden input (None for
+    a model that embeds tokens). Parameter gradients stay in the model until
+    the caller runs ``collect_grads``."""
+    loss, dlogits = sequence_loss(model.forward(inputs, pad_lens=pad_lens), targets)
+    return float(loss.data), model.backward(dlogits)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +185,7 @@ class TrainingClient:
                 client_id=self.client_id,
             )
         )
-        logits = self.back.forward(reply.payload, pad_lens=batch.pad_lens)
-        loss = sequence_loss(logits, batch.targets)[0]
-        del logits  # so the backward frees the back's tape before the relay's wait
-        loss.backward()
-        relay = self.back.take_input_grad()
+        loss, relay = local_loss_step(self.back, reply.payload, batch.targets, batch.pad_lens)
         if self.noise.target == "backward_grad":
             relay = inject_noise(relay, self.noise.scale, self._noise_rng)
         grad_reply = self.channel.request(GradMsg(relay, step_id=step, client_id=self.client_id))
@@ -199,7 +196,7 @@ class TrainingClient:
             norms[name] = grad_norm(grads)
             apply_sgd_step(segment.trainable_parameters(), grads, self.lr)
         comm = CommStats.delta(self.channel.stats.snapshot(), before)
-        return TrainStepRecord(step, self.client_id, float(loss.data), norms, comm)
+        return TrainStepRecord(step, self.client_id, loss, norms, comm)
 
 
 class TrainingServer:
@@ -221,7 +218,7 @@ class TrainingServer:
         self.lr = lr
         self.last_grad_norm = 0.0
         self.last_grads: dict[str, np.ndarray] = {}
-        self._pending: dict[int, tuple[int, slice]] | None = None
+        self._pending: dict[int, tuple[int, slice, tuple[int, ...]]] | None = None
         self._lock = threading.Lock()
 
     def handle(self, msg) -> HiddenStateMsg | GradMsg:
@@ -264,51 +261,54 @@ class TrainingServer:
             payload = np.concatenate([m.payload for m in ordered], axis=0)
             pads = tuple(p for m in ordered for p in m.mask_meta.pads)
             out = self.middle.forward(payload, pad_lens=pads, positions=head.positions)
-            pending: dict[int, tuple[int, slice]] = {}
+            pending: dict[int, tuple[int, slice, tuple[int, ...]]] = {}
             replies = []
             start = 0
             for m in ordered:
                 rows = slice(start, start + m.payload.shape[0])
                 start = rows.stop
-                pending[m.client_id] = (m.step_id, rows)
+                pending[m.client_id] = (m.step_id, rows, out.data[rows].shape)
                 replies.append(reply_to(m, out.data[rows]))
             self._pending = pending
             return replies
 
     def batch_backward(self, grad_msgs: Sequence[GradMsg]) -> list[GradMsg]:
-        """Concatenated trunk backward, SGD step, per-client gradient slices."""
+        """Concatenated trunk backward, SGD step, per-client gradient slices.
+
+        The steps in flight end here whatever happens: a rejected group drops
+        the trunk's tape and takes no SGD step, so the next forward runs."""
         with self._lock:
-            if self._pending is None:
+            pending, self._pending = self._pending, None
+            if pending is None:
                 raise ProtocolError("gradient before any forward is in flight")
             ordered = sorted(grad_msgs, key=lambda m: m.client_id)
-            got = [m.client_id for m in ordered]
-            expected = sorted(self._pending)
-            if got != expected:
-                raise BarrierTimeoutError(
-                    f"gradient group mismatch: expected clients {expected}, got {got}"
-                )
-            parts = []
-            for m in ordered:
-                step_id, rows = self._pending[m.client_id]
-                if m.step_id != step_id:
-                    raise ProtocolError(
-                        f"client {m.client_id} sent a gradient for step {m.step_id}, "
-                        f"expected {step_id}"
+            try:
+                got = [m.client_id for m in ordered]
+                if got != sorted(pending):
+                    raise BarrierTimeoutError(
+                        f"gradient group mismatch: expected clients {sorted(pending)}, got {got}"
                     )
-                if m.payload.shape[0] != rows.stop - rows.start:
-                    raise ProtocolError(
-                        f"client {m.client_id} gradient has {m.payload.shape[0]} rows, "
-                        f"expected {rows.stop - rows.start}"
-                    )
-                parts.append(m.payload)
-            input_grad = self.middle.backward(np.concatenate(parts, axis=0))
+                for m in ordered:
+                    step_id, _, shape = pending[m.client_id]
+                    if m.step_id != step_id:
+                        raise ProtocolError(
+                            f"client {m.client_id} sent a gradient for step {m.step_id}, "
+                            f"expected {step_id}"
+                        )
+                    if m.payload.shape != shape:
+                        raise ProtocolError(
+                            f"client {m.client_id} gradient has shape {m.payload.shape}, "
+                            f"expected {shape}"
+                        )
+            except ProtocolError:
+                self.middle.discard_pending()
+                raise
+            input_grad = self.middle.backward(np.concatenate([m.payload for m in ordered]))
             grads = self.middle.collect_grads()
             self.last_grads = grads
             self.last_grad_norm = grad_norm(grads)
             apply_sgd_step(self.middle.trainable_parameters(), grads, self.lr)
-            replies = [reply_to(m, input_grad[self._pending[m.client_id][1]]) for m in ordered]
-            self._pending = None
-            return replies
+            return [reply_to(m, input_grad[pending[m.client_id][1]]) for m in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +451,8 @@ def train_monolithic(
     losses = []
     for step in range(steps):
         batch = batch_source(step)
-        loss, grads = local_loss_step(model, batch.tokens, batch.targets, batch.pad_lens)
-        apply_sgd_step(model.trainable_parameters(), grads, lr)
+        loss, _ = local_loss_step(model, batch.tokens, batch.targets, batch.pad_lens)
+        apply_sgd_step(model.trainable_parameters(), model.collect_grads(), lr)
         losses.append(loss)
     return losses
 
@@ -492,7 +492,8 @@ def noise_gradient_propagation_check(
         h_clean = prefix.forward(tokens).data
 
     def weight_grad(hidden: np.ndarray) -> np.ndarray:
-        return local_loss_step(tail, hidden, targets)[1][target_name]
+        local_loss_step(tail, hidden, targets)
+        return tail.collect_grads()[target_name]
 
     g_clean = weight_grad(h_clean)
     noise_rng = np.random.default_rng(seed + 2)

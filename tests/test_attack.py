@@ -1,5 +1,5 @@
-"""Reconstruction-attack harness: metrics, observer mechanics, and the
-non-interference contract."""
+"""Reconstruction-attack harness: metrics, decoder training from recorded
+(hidden states, tokens, pads) pairs, and the non-interference contract."""
 
 import math
 
@@ -9,7 +9,6 @@ import pytest
 import fedsplit.tensor as T
 from fedsplit.attack import (
     AttackerConfig,
-    AttackObserver,
     bleu4,
     build_split_for_depth,
     evaluate_reconstruction,
@@ -17,6 +16,7 @@ from fedsplit.attack import (
     reconstruct_tokens,
     rouge2_f1,
     run_attack,
+    train_decoder,
 )
 from fedsplit.corpus import make_lm_corpus, shard_corpus
 from fedsplit.errors import ConfigError, UndefinedMetricError
@@ -203,81 +203,51 @@ def test_normalize_hidden_gives_unit_rms_per_sequence():
 
 
 # ---------------------------------------------------------------------------
-# observer mechanics
+# decoder training
 
 
-def make_observer(depth=0, lr=0.2):
-    decoder = build_decoder_probe(CFG, depth, seed=101)
-    return AttackObserver(decoder, malicious_id=0, lr=lr)
+def make_decoder(depth=0):
+    return build_decoder_probe(CFG, depth, seed=101)
 
 
-def fake_hidden_msg(front, tokens, client_id, step_id):
-    from fedsplit.wire import HiddenStateMsg, MaskMeta
-
+def pair_for(front, tokens, pads=None):
+    """What the attacker records for one step: the front's hidden states,
+    the disclosed tokens and their left pads."""
+    pads = (0,) * tokens.shape[0] if pads is None else pads
     with T.no_grad():
-        h = front.forward(tokens).data
-    meta = MaskMeta(tokens.shape[1], (0,) * tokens.shape[0], tokens.shape[0])
-    return HiddenStateMsg(h, meta, tuple(range(tokens.shape[1])), step_id, client_id)
+        h = front.forward(tokens, pad_lens=pads).data
+    return h, tokens, pads
 
 
-def test_observer_trains_one_step_per_disclosed_message():
+def test_train_decoder_takes_one_step_per_pair_then_replays():
     front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    obs = make_observer()
-    tokens = np.array([[1, 4, 9, 12]])
-    obs.disclose(0, tokens, (0,))
-    obs.observe(fake_hidden_msg(front, tokens, client_id=0, step_id=0))
-    assert len(obs.pairs) == 1
-    assert len(obs.losses) == 1
+    pairs = [pair_for(front, np.array([[1, 4 + i, 9, 12]])) for i in range(3)]
+    assert len(train_decoder(make_decoder(), pairs, lr=0.2)) == 3
+    assert len(train_decoder(make_decoder(), pairs, lr=0.2, replay_epochs=2)) == 3 + 2 * 3
+    assert train_decoder(make_decoder(), [], lr=0.2, replay_epochs=2) == []
 
 
-def test_observer_ignores_other_clients():
+def test_train_decoder_loss_decreases_on_repeated_pair():
     front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    obs = make_observer()
-    tokens = np.array([[1, 4, 9, 12]])
-    obs.disclose(0, tokens, (0,))
-    obs.observe(fake_hidden_msg(front, tokens, client_id=1, step_id=0))
-    assert obs.pairs == [] and obs.losses == []
+    pairs = [pair_for(front, np.array([[1, 4, 9, 12, 6, 11]]))]
+    losses = train_decoder(make_decoder(), pairs, lr=0.5, replay_epochs=30, seed=1)
+    assert losses[-1] < 0.2 * losses[0]
 
 
-def test_observer_ignores_undisclosed_steps():
+def test_train_decoder_does_not_supervise_padded_positions():
+    # whatever tokens sit in the pad columns, the decoder learns the same
     front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    obs = make_observer()
-    tokens = np.array([[1, 4, 9, 12]])
-    obs.observe(fake_hidden_msg(front, tokens, client_id=0, step_id=7))
-    assert obs.pairs == []
-
-
-def test_observer_replay_revisits_stored_pairs():
-    front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    obs = make_observer()
-    for sid in range(3):
-        tokens = np.array([[1, 4 + sid, 9, 12]])
-        obs.disclose(sid, tokens, (0,))
-        obs.observe(fake_hidden_msg(front, tokens, client_id=0, step_id=sid))
-    obs.replay(epochs=2, seed=0)
-    assert len(obs.losses) == 3 + 2 * 3
-
-
-def test_observer_loss_decreases_on_repeated_pair():
-    front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    obs = make_observer(lr=0.5)
-    tokens = np.array([[1, 4, 9, 12, 6, 11]])
-    obs.disclose(0, tokens, (0,))
-    obs.observe(fake_hidden_msg(front, tokens, client_id=0, step_id=0))
-    obs.replay(epochs=30, seed=1)
-    assert obs.losses[-1] < 0.2 * obs.losses[0]
-
-
-def test_observer_masks_padded_positions():
-    front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    decoder = build_decoder_probe(CFG, 0, seed=101)
-    obs = AttackObserver(decoder, malicious_id=0, lr=0.2)
-    tokens = np.array([[0, 0, 9, 12], [1, 4, 9, 12]])
-    obs.disclose(0, tokens, (2, 0))
-    obs.observe(fake_hidden_msg(front, tokens, client_id=0, step_id=0))
-    _, stored_tokens, pads = obs.pairs[0]
-    assert pads == (2, 0)
-    assert np.array_equal(stored_tokens, tokens)
+    hidden, tokens, pads = pair_for(front, np.array([[0, 0, 9, 12], [1, 4, 9, 12]]), (2, 0))
+    other = tokens.copy()
+    other[0, :2] = [7, 5]
+    runs = []
+    for toks in (tokens, other):
+        decoder = make_decoder()
+        runs.append((train_decoder(decoder, [(hidden, toks, pads)], lr=0.2), decoder.state_dict()))
+    assert runs[0][0] == runs[1][0]
+    for name, value in runs[0][1].items():
+        np.testing.assert_array_equal(value, runs[1][1][name])
+    assert np.array_equal(tokens, [[0, 0, 9, 12], [1, 4, 9, 12]])  # the pair is not written
 
 
 def test_evaluate_reconstruction_rejects_empty_items():
@@ -291,14 +261,10 @@ def test_trained_probe_inverts_frozen_embeddings():
     # depth 0: hidden states are raw embedding rows, so a trained probe
     # recovers tokens exactly on sequences it never saw
     front, _, _ = build_split_for_depth(CFG, 0, seed=3)
-    decoder = build_decoder_probe(CFG, 0, seed=101)
-    obs = AttackObserver(decoder, malicious_id=0, lr=0.3)
+    decoder = make_decoder()
     rng = np.random.default_rng(7)
-    for sid in range(12):
-        tokens = rng.integers(0, CFG.vocab_size, size=(4, 8))
-        obs.disclose(sid, tokens, (0, 0, 0, 0))
-        obs.observe(fake_hidden_msg(front, tokens, client_id=0, step_id=sid))
-    obs.replay(epochs=15, seed=2)
+    pairs = [pair_for(front, rng.integers(0, CFG.vocab_size, size=(4, 8))) for _ in range(12)]
+    train_decoder(decoder, pairs, lr=0.3, replay_epochs=15, seed=2)
     fresh = rng.integers(0, CFG.vocab_size, size=(2, 8))
     with T.no_grad():
         h = front.forward(fresh).data
@@ -370,6 +336,15 @@ def test_run_attack_noisy_deep_cut_stays_near_chance():
     )
     assert rep.noise_scale == 0.02
     assert rep.token_accuracy <= 3.0 / CFG.vocab_size
+
+
+def test_run_attack_reports_the_noise_on_the_hidden_states():
+    # backward-grad noise never touches what the attacker decodes
+    shards = shard_corpus(small_corpus(), 3)
+    rep = run_attack(
+        CFG, shards[:2], shards[2], steps=2, lr=1e-4, noise=NoiseConfig(0.3, "backward_grad", 7)
+    )
+    assert rep.noise_scale == 0.0 and rep.to_json()["noise_scale"] == 0.0
 
 
 def test_attack_does_not_change_honest_training_or_frames():

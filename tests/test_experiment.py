@@ -10,13 +10,6 @@ from fedsplit import experiment
 from fedsplit.corpus import CorpusItem, ToyCorpus, make_copy_corpus
 from fedsplit.errors import ConfigError
 from fedsplit.experiment import (
-    AttackSection,
-    CommSection,
-    CorpusSection,
-    EvalSection,
-    GenerationSection,
-    GridSection,
-    TrainingSection,
     build_corpus,
     comm_report,
     config_from_dict,
@@ -32,10 +25,8 @@ from fedsplit.experiment import (
     validate_artifact,
 )
 from fedsplit.inference import InferenceStack
-from fedsplit.model import LoraConfig, ModelConfig, PartitionSpec, build_partitioned
+from fedsplit.model import build_partitioned
 from fedsplit.scoring import score_multi_token, score_single_token
-from fedsplit.strategies import StrategyConfig
-from fedsplit.training import NoiseConfig
 
 
 def base_raw(**over):
@@ -144,30 +135,37 @@ def test_load_config_reports_missing_and_malformed_files(tmp_path):
         load_config(bad)
 
 
-SECTION_CLASSES = {
-    "model": ModelConfig,
-    "partition": PartitionSpec,
-    "lora": LoraConfig,
-    "noise": NoiseConfig,
-    "strategy": StrategyConfig,
-    "training": TrainingSection,
-    "corpus": CorpusSection,
-    "generation": GenerationSection,
-    "evaluation": EvalSection,
-    "attack": AttackSection,
-    "comm": CommSection,
-    "grid": GridSection,
+TOP_LEVEL = {
+    f.name: f for f in dataclasses.fields(experiment.ExperimentConfig) if f.name != "raw"
 }
 
 
-@pytest.mark.parametrize("section", sorted(SECTION_CLASSES))
+def test_config_schema_names_every_section_and_top_level_field():
+    """``experiment.SECTIONS`` is the section table and ``ExperimentConfig``
+    holds the rest; together they must cover the schema's properties exactly."""
+    props = load_schema("experiment_config.schema.json")["properties"]
+    assert set(props) - {"schema_version"} == set(TOP_LEVEL)
+    assert set(experiment.SECTIONS) == {
+        name for name, prop in props.items() if prop.get("type") == "object" or "oneOf" in prop
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(TOP_LEVEL) - set(experiment.SECTIONS)))
+def test_config_schema_matches_top_level_default(name):
+    prop = load_schema("experiment_config.schema.json")["properties"][name]
+    default = TOP_LEVEL[name].default
+    assert type(default)(prop["default"]) == default, name
+
+
+@pytest.mark.parametrize("section", sorted(experiment.SECTIONS))
 def test_config_schema_matches_section_dataclass(section):
     """Each section's fields and defaults are written twice, in the schema and
-    in its dataclass; the two copies must agree in both directions."""
+    in its ``experiment.SECTIONS`` dataclass; the two copies must agree in
+    both directions."""
     spec = load_schema("experiment_config.schema.json")["properties"][section]
     # nullable sections (lora, noise) hold their object schema in a oneOf
     spec = next((alt for alt in spec.get("oneOf", []) if alt.get("type") == "object"), spec)
-    fields = {f.name: f for f in dataclasses.fields(SECTION_CLASSES[section])}
+    fields = {f.name: f for f in dataclasses.fields(experiment.SECTIONS[section])}
     assert set(fields) == set(spec["properties"])
     for name, field in fields.items():
         prop = spec["properties"][name]
@@ -179,9 +177,10 @@ def test_config_schema_matches_section_dataclass(section):
         else:
             default = field.default
             assert default is not dataclasses.MISSING, f"{name} has no default and is not required"
-            if isinstance(default, tuple):
-                default = list(default)
-            assert prop["default"] == default and type(prop["default"]) is type(default), name
+            value = prop["default"]
+            if isinstance(value, list):
+                value = tuple(value)
+            assert value == default and type(value) is type(default), name
 
 
 def test_load_config_env_overrides(tmp_path):

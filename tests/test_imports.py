@@ -1,17 +1,21 @@
-"""Every module in the package uses every name it imports, and none rebinds
-a module-level name from inside a function.
+"""Every module in the package uses every name it imports, every name it
+defines is used somewhere, and none rebinds a module-level name from inside a
+function.
 
-No linter ships with the project, so deleted code can leave imports behind
-unnoticed, and a ``global`` statement makes state that every caller in the
-process shares; these guards read each module with the stdlib ``ast`` module.
+No linter ships with the project, so deleted code can leave imports and
+callerless definitions behind unnoticed, and a ``global`` statement makes
+state that every caller in the process shares; these guards read each module
+with the stdlib ``ast`` module.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedsplit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fedsplit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -55,3 +59,79 @@ def test_guard_flags_a_global_statement():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_global_statement(module):
     assert global_statements(module.read_text(encoding="utf-8")) == []
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Every function and class, at any depth, and every module-level name."""
+    found = [
+        (node.name, node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if not (name[:2] == name[-2:] == "__")]
+
+
+def references(tree: ast.AST) -> Counter:
+    """Names, attribute names and identifier strings (``getattr`` and
+    ``monkeypatch`` targets) under ``tree``."""
+    seen = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            seen[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            seen[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            seen[node.value] += 1
+    return seen
+
+
+def dead_definitions(defining: dict[str, str], referencing: list[str]) -> list[str]:
+    """Definitions in the ``defining`` sources (by label) that nothing in
+    ``defining`` or ``referencing`` names outside the definition itself."""
+    trees = {label: ast.parse(source) for label, source in defining.items()}
+    seen = Counter()
+    for tree in [*trees.values(), *map(ast.parse, referencing)]:
+        seen += references(tree)
+    dead = [
+        (label, node.lineno, name)
+        for label, tree in trees.items()
+        for name, node in definitions(tree)
+        if seen[name] <= references(node)[name]
+    ]
+    return [f"{label} line {line}: {name}" for label, line, name in sorted(dead)]
+
+
+def test_guard_flags_a_dead_definition():
+    source = (
+        "LIMIT = 3\nSPARE = LIMIT\n\n"
+        "class Segment:\n"
+        "    def __init__(self):\n        self.grad = None\n\n"
+        "    def take_input_grad(self):\n        return self.take_input_grad()\n\n"
+        "    def backward(self):\n        return self.grad\n\n"
+        "def walk(n):\n    return walk(n - 1)\n"
+    )
+    # an import alone is no use, and neither is a call from inside the body
+    caller = "from m import Segment, walk\nSegment().backward()\n"
+    assert dead_definitions({"m": source}, [caller]) == [
+        "m line 2: SPARE",
+        "m line 8: take_input_grad",
+        "m line 14: walk",
+    ]
+    assert dead_definitions({"m": source}, [caller + "walk(SPARE)\n"]) == [
+        "m line 8: take_input_grad",
+    ]
+
+
+def test_package_has_no_dead_definition():
+    others = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+    defining = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    referencing = [
+        p.read_text(encoding="utf-8")
+        for folder in others
+        for p in sorted(folder.rglob("*.py"))
+        if p.parent != PACKAGE or p.name == "__init__.py"
+    ]
+    assert dead_definitions(defining, referencing) == []

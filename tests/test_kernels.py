@@ -379,7 +379,8 @@ def test_model_step_is_bitwise_the_composed_projection(monkeypatch, trainable_ba
 
     def step():
         model = SegmentModel("full", cfg, lora, params, 0, cfg.num_blocks, trainable_base)
-        return local_loss_step(model, ids, targets, pad_lens=[0, 2, 4])
+        loss, _ = local_loss_step(model, ids, targets, pad_lens=[0, 2, 4])
+        return loss, model.collect_grads()
 
     fused_loss, fused_grads = step()
     monkeypatch.setattr(

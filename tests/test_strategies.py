@@ -270,10 +270,42 @@ def test_batch_backward_protocol_errors():
     server.batch_forward(msgs)
     with pytest.raises(BarrierTimeoutError):
         server.batch_backward(grads[:1])
-    with pytest.raises(ProtocolError):
+    server.batch_forward(msgs)
+    with pytest.raises(ProtocolError, match="client 1 sent a gradient for step 9"):
         server.batch_backward(
             [grads[0], GradMsg(grads[1].payload, step_id=9, client_id=1)]
         )
+
+
+@pytest.mark.parametrize("bad", ["step_id", "rows", "seq", "width", "group"])
+def test_a_rejected_gradient_group_leaves_the_trunk_ready(bad):
+    """A rejected group ends the steps in flight: no SGD step, no tape left
+    behind, and client 1's next solo forward and backward go through."""
+    msgs = hidden_msgs(2, seed=8)
+    server = ClientBatchServer(fresh_middle(), lr=0.1)
+    before = server.middle.state_dict()
+    server.batch_forward(msgs)
+    grads = [
+        GradMsg(np.ones_like(m.payload), step_id=m.step_id, client_id=m.client_id)
+        for m in msgs
+    ]
+    wrong = {
+        "step_id": GradMsg(grads[0].payload, step_id=9, client_id=0),
+        "rows": GradMsg(grads[0].payload[:1], step_id=0, client_id=0),
+        "seq": GradMsg(grads[0].payload[:, :-1], step_id=0, client_id=0),
+        "width": GradMsg(grads[0].payload[..., :-1], step_id=0, client_id=0),
+    }
+    group = grads[1:] if bad == "group" else [wrong[bad], grads[1]]
+    with pytest.raises(ProtocolError, match=None if bad == "group" else "client 0"):
+        server.batch_backward(group)
+    for name, value in server.middle.state_dict().items():
+        np.testing.assert_array_equal(value, before[name])
+    assert server.handle(msgs[1]).client_id == 1
+    reply = server.handle(grads[1])
+    assert reply.client_id == 1 and reply.payload.shape == msgs[1].payload.shape
+    assert server.last_grad_norm > 0
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -590,13 +622,23 @@ def test_hierarchical_stalled_pipeline_times_out_and_is_excluded():
     central, clients, subs, channels = hierarchical_session(2, seed=21)
     samplers = {cid: sampler_for(seed=70 + cid) for cid in range(2)}
     release, returned = threading.Event(), threading.Event()
+    late = {}
 
     def source(cid, step):
         if cid == 1 and step == 1:
             release.wait(30.0)
-            returned.set()
         return samplers[cid].batch_for(step)
 
+    stalled_step = clients[1].train_step
+
+    def train_step(batch, step):
+        rec = stalled_step(batch, step=step)
+        if step == 1:
+            late["thread"] = threading.current_thread()
+            returned.set()
+        return rec
+
+    clients[1].train_step = train_step
     cfg = StrategyConfig(
         mode="server_hierarchical", num_clients=2, sync_interval=3, barrier_timeout=0.5
     )
@@ -609,18 +651,29 @@ def test_hierarchical_stalled_pipeline_times_out_and_is_excluded():
             phase.start()
             phase.join(15.0)
             assert not phase.is_alive(), "run_phase did not return for a stalled pipeline"
-            assert trainer.failed[1].startswith("BarrierTimeoutError")
+            failure = trainer.failed[1]
+            assert failure.startswith("BarrierTimeoutError")
             merge = trainer.merge(3)
+            merged = {n: p.data.copy() for n, p in central.lora_parameters().items()}
+            stalled_trunk = {n: p.data.copy() for n, p in subs[1].middle.lora_parameters().items()}
             # the stalled step now completes; its late record and state are ignored
             release.set()
             assert returned.wait(10.0)
+            late["thread"].join(10.0)
+            assert not late["thread"].is_alive()
+            assert any(
+                not np.array_equal(p.data, stalled_trunk[n])
+                for n, p in subs[1].middle.lora_parameters().items()
+            ), "the stalled step never trained its own trunk"
+            assert trainer.failed == {1: failure}
+            assert trainer.merge(3) == merge
+            for name, p in central.lora_parameters().items():
+                np.testing.assert_array_equal(p.data, merged[name])
         finally:
             release.set()
     records = result["records"]
     assert [(r.client_id, r.step) for r in records] == [(0, 0), (1, 0), (0, 1), (0, 2)]
     assert merge.merged_clients == (0,) and merge.excluded_clients == (1,)
-    assert trainer.failed[1].startswith("BarrierTimeoutError")
-    assert 0 not in trainer.failed
 
 
 def test_hierarchical_phase_keeps_every_record_under_thread_contention():

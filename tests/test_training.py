@@ -76,8 +76,9 @@ def test_noise_fresh_per_call_but_seed_deterministic():
 def test_noise_config_validation():
     with pytest.raises(ShapeError):
         NoiseConfig(scale=-0.1)
-    with pytest.raises(ShapeError):
-        NoiseConfig(scale=0.1, target="sideways")
+    for target in ("sideways", "none"):
+        with pytest.raises(ShapeError):
+            NoiseConfig(scale=0.1, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_split_training_matches_monolithic_bit_for_bit():
 
     front, middle, back = build_partitioned(CFG, PART, LoraConfig(), seed=6)
     client, server, server_channel = connect_pair(
-        front, middle, back, 0, lr=0.1, noise=NoiseConfig(scale=0.0, target="none")
+        front, middle, back, 0, lr=0.1, noise=NoiseConfig(scale=0.0)
     )
     with SequentialTrainer([client], server, [server_channel]) as trainer:
         records = trainer.run(lambda cid, r: sampler.batch_for(r), rounds=steps)
