@@ -125,6 +125,8 @@ class ToyCorpus:
 
 
 def _content_rng(rng, n, vocab_size):
+    if vocab_size <= FIRST_CONTENT_ID:
+        raise ConfigError(f"vocab_size must exceed {FIRST_CONTENT_ID}, the first content id")
     return tuple(int(x) for x in rng.integers(FIRST_CONTENT_ID, vocab_size, size=n))
 
 
@@ -176,8 +178,8 @@ def make_cloze_corpus(
     seed: int = 0,
 ) -> ToyCorpus:
     """Single-token answers with a candidate set, for restricted scoring."""
-    if num_candidates < 2:
-        raise ConfigError("cloze items need at least two candidates")
+    if not 2 <= num_candidates <= vocab_size - FIRST_CONTENT_ID:
+        raise ConfigError(f"cloze items need 2 to vocab_size - {FIRST_CONTENT_ID} candidates")
     rng = np.random.default_rng(seed)
     items = []
     for _ in range(n_items):

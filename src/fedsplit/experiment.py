@@ -32,7 +32,7 @@ from .corpus import (
     make_lm_corpus,
     shard_corpus,
 )
-from .errors import CheckpointError, ConfigError, FedSplitError
+from .errors import CheckpointError, ConfigError, FedSplitError, PartitionError
 from .inference import GenerationConfig, InferenceStack
 from .model import LoraConfig, ModelConfig, PartitionSpec, build_partitioned
 from .scoring import score_multi_token, score_single_token
@@ -44,6 +44,7 @@ from .strategies import (
     build_shared_trunk_session,
 )
 from .training import NoiseConfig, SequentialTrainer, TrainingServer
+from .transport import parse_endpoint
 from .wire import SCALAR_WIDTH, CommStats, MaskMeta
 
 ENV_ENDPOINT = "FEDSPLIT_ENDPOINT"
@@ -245,7 +246,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a config document and construct every section.
 
     Schema violations and cross-field violations are all collected and
-    reported in one error, before any model or corpus is built.
+    reported in one error, before any model or corpus is built. The corpus
+    rules (content-id capacity, shard count) are ``corpus``'s own, checked
+    when a stage builds its corpus.
     """
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -260,23 +263,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     errors: list[str] = []
     built = {key: _build_section(raw, key, errors) for key in SECTIONS}
-    model, partition, strategy, corpus = (
-        built[k] for k in ("model", "partition", "strategy", "corpus")
-    )
-    if model is not None and partition is not None and partition.total != model.num_blocks:
-        errors.append(
-            f"partition: blocks ({partition.front}, {partition.middle}, {partition.back}) "
-            f"sum to {partition.total}, model has {model.num_blocks}"
-        )
-    if corpus is not None and corpus.path is None and corpus.task == "cloze":
-        if model is not None and corpus.num_candidates > model.vocab_size:
-            errors.append("corpus: num_candidates cannot exceed vocab_size")
-    if strategy is not None and corpus is not None and corpus.path is None:
-        if corpus.items < strategy.num_clients:
-            errors.append(
-                f"corpus: {corpus.items} items cannot be sharded over "
-                f"{strategy.num_clients} clients"
-            )
+    model, partition, corpus = built["model"], built["partition"], built["corpus"]
+    if model is not None and partition is not None:
+        try:
+            partition.validate_for(model)
+        except PartitionError as exc:
+            errors.append(f"partition: {exc}")
     for key, check in (("generation", _check_generation), ("comm", _check_comm),
                        ("attack", _check_attack)):
         if model is not None and built[key] is not None and key in raw:
@@ -318,18 +310,10 @@ def load_config(path, env: dict | None = None) -> ExperimentConfig:
         raw["output_dir"] = env[ENV_OUTPUT_DIR]
     endpoint = env.get(ENV_ENDPOINT)
     if endpoint:
-        host, sep, port = endpoint.rpartition(":")
-        if not sep or not host:
-            raise ConfigError(f"{ENV_ENDPOINT} must look like host:port, got {endpoint!r}")
-        try:
-            port_num = int(port)
-        except ValueError:
-            raise ConfigError(f"{ENV_ENDPOINT} port must be an integer, got {port!r}") from None
-        if not 0 <= port_num <= 65535:
-            raise ConfigError(f"{ENV_ENDPOINT} port must be in 0-65535, got {port_num}")
+        host, port = parse_endpoint(endpoint, ENV_ENDPOINT)
     cfg = config_from_dict(raw)
     if endpoint and cfg.transport == "tcp":
-        cfg.transport = f"tcp:{host}:{port_num}"
+        cfg.transport = f"tcp:{host}:{port}"
     return cfg
 
 
@@ -624,8 +608,6 @@ def run_attack_experiment(cfg: ExperimentConfig, output_dir=None):
     _require_valid(_check_attack(cfg.model, cfg.attack))
     out = _prepare_output_dir(cfg, output_dir)
     corpus = build_corpus(cfg.corpus, cfg.model)
-    if len(corpus) < 3:
-        raise ConfigError("attack runs need at least 3 corpus items to shard")
     malicious, honest, heldout = shard_corpus(corpus, 3)
     attacker = AttackerConfig(
         depth=cfg.attack.depth,

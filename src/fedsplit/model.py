@@ -102,8 +102,8 @@ class PartitionSpec:
     def validate_for(self, config: ModelConfig) -> None:
         if self.total != config.num_blocks:
             raise PartitionError(
-                f"partition ({self.front}, {self.middle}, {self.back}) sums to "
-                f"{self.total}, model has {config.num_blocks} blocks"
+                f"blocks ({self.front}, {self.middle}, {self.back}) sum to "
+                f"{self.total}, model has {config.num_blocks}"
             )
 
 

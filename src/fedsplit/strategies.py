@@ -101,8 +101,6 @@ def collect_barrier(channels: dict[int, MessageChannel], timeout: float) -> list
             raise BarrierTimeoutError(f"client {cid} missed the barrier after {timeout}s")
         try:
             msg = channels[cid].recv(timeout=remaining)
-        except BarrierTimeoutError:
-            raise
         except ProtocolError:
             raise BarrierTimeoutError(
                 f"client {cid} missed the barrier after {timeout}s"

@@ -12,7 +12,6 @@ module holds no state of its own.
 from __future__ import annotations
 
 import queue
-import re
 import socket
 import threading
 from typing import Callable
@@ -141,6 +140,15 @@ class TcpChannel:
             self._sock.close()
 
 
+def parse_endpoint(text: str, what: str) -> tuple[str, int]:
+    """``(host, port)`` from ``"host:port"``; anything else raises a
+    ``ConfigError`` that starts with ``what``."""
+    host, _, port = text.rpartition(":")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ConfigError(f"{what} must be host:port with a port in 0-65535, got {text!r}")
+    return host, int(port)
+
+
 def tcp_listen(host: str = "127.0.0.1", port: int = 0) -> tuple[socket.socket, int]:
     """Bind a listener; returns it and the bound port (useful with port 0)."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -239,13 +247,12 @@ def channel_pair(kind: str, record_frames: bool = False) -> tuple[MessageChannel
     127.0.0.1) or ``"tcp:HOST:PORT"``; ``record_frames`` keeps the raw frames
     both ends send and receive.
     """
-    endpoint = re.fullmatch(r"tcp:(.+):(\d+)", kind)
     if kind == "loopback":
         server_end, client_end = LoopbackChannel.pair()
     elif kind == "tcp":
         server_end, client_end = tcp_pair()
-    elif endpoint and int(endpoint[2]) <= 65535:
-        server_end, client_end = tcp_pair(endpoint[1], int(endpoint[2]))
+    elif kind.startswith("tcp:"):
+        server_end, client_end = tcp_pair(*parse_endpoint(kind[4:], f"unknown transport {kind!r}:"))
     else:
         raise ConfigError(f"unknown transport {kind!r}")
     return (

@@ -57,6 +57,30 @@ def test_comm_scalar_width_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("vocab,corpus,rule", [
+    (32, {"task": "cloze", "items": 8, "length": 3, "num_candidates": 30},
+     "cloze items need 2 to vocab_size - 4 candidates"),
+    (4, {"task": "copy", "items": 8, "length": 3}, "vocab_size must exceed 4"),
+], ids=["cloze-30-of-vocab-32", "copy-vocab-4"])
+def test_a_corpus_the_vocab_cannot_hold_exits_2(tmp_path, capsys, vocab, corpus, rule):
+    cfg = write_config(tmp_path, corpus=corpus)
+    raw = json.loads(cfg.read_text())
+    raw["model"]["vocab_size"] = vocab
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["train", "-c", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+    assert rule in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,clients,items", [("train", 3, 2), ("attack", 1, 2)])
+def test_a_corpus_too_small_to_shard_exits_2(tmp_path, capsys, command, clients, items):
+    cfg = write_config(
+        tmp_path, strategy={"num_clients": clients},
+        corpus={"task": "copy", "items": items, "length": 3},
+    )
+    assert cli.main([command, "-c", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+    assert f"corpus of {items} items cannot fill 3 shards" in capsys.readouterr().err
+
+
 def test_malformed_corpus_file_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     corpus.write_text("not json {")

@@ -5,6 +5,7 @@ import pytest
 
 from fedsplit.corpus import (
     BOS_ID,
+    FIRST_CONTENT_ID,
     PAD_ID,
     SEP_ID,
     STOP_ID,
@@ -71,6 +72,29 @@ def test_shard_round_robin_covers_corpus():
     assert sorted(map(repr, all_items)) == sorted(map(repr, corpus.items))
     with pytest.raises(ConfigError):
         shard_corpus(make_copy_corpus(2, 3, seed=0), 5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda vocab: make_copy_corpus(2, payload_len=3, vocab_size=vocab),
+    lambda vocab: make_lm_corpus(2, length=3, vocab_size=vocab),
+    lambda vocab: make_cloze_corpus(2, context_len=3, num_candidates=2, vocab_size=vocab),
+], ids=["copy", "lm", "cloze"])
+def test_generators_need_a_content_id(make):
+    for vocab in range(2, FIRST_CONTENT_ID + 1):
+        with pytest.raises(ConfigError, match="vocab_size"):
+            make(vocab)
+    make(FIRST_CONTENT_ID + 2).validate()
+
+
+@pytest.mark.parametrize("num_candidates", [1, 29, 30])
+def test_cloze_candidates_fit_the_content_ids(num_candidates):
+    with pytest.raises(ConfigError, match="2 to vocab_size - 4 candidates"):
+        make_cloze_corpus(2, context_len=3, num_candidates=num_candidates, vocab_size=32)
+
+
+def test_cloze_may_offer_every_content_id():
+    corpus = make_cloze_corpus(3, context_len=3, num_candidates=28, vocab_size=32, seed=1)
+    assert all(sorted(it.candidates) == list(range(FIRST_CONTENT_ID, 32)) for it in corpus.items)
 
 
 def test_cloze_items_have_valid_candidates():

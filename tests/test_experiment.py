@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsplit import experiment
-from fedsplit.corpus import CorpusItem, ToyCorpus, make_copy_corpus
+from fedsplit.corpus import CorpusItem, ToyCorpus, make_copy_corpus, shard_corpus
 from fedsplit.errors import ConfigError
 from fedsplit.experiment import (
     build_corpus,
@@ -99,6 +101,19 @@ def test_config_enumerates_every_cross_field_problem():
     assert "prompt token ids" in message
     assert "stop_token" in message
     assert "strictly increasing" in message
+
+
+def test_generation_longer_than_the_context_is_rejected():
+    raw = base_raw(generation={"prompt": [1, 2, 3], "max_new_tokens": 62})
+    with pytest.raises(ConfigError, match=r"generation: .*\(3 \+ 62 > 64\)"):
+        config_from_dict(raw)
+    config_from_dict(base_raw(generation={"prompt": [1, 2, 3], "max_new_tokens": 61}))
+
+
+def test_a_section_constructor_rejection_is_collected_under_its_section():
+    raw = base_raw(strategy={"num_clients": 2, "merge_weights": [1.0, 1.0, 1.0]})
+    with pytest.raises(ConfigError, match="strategy: got 3 merge weights for 2 clients"):
+        config_from_dict(raw)
 
 
 def test_cross_checks_skip_sections_the_config_never_wrote():
@@ -198,6 +213,14 @@ def test_load_config_env_overrides(tmp_path):
         load_config(path, env={"FEDSPLIT_ENDPOINT": "no-port-here"})
 
 
+@pytest.mark.parametrize("endpoint", ["127.0.0.1:+80", "127.0.0.1: 80", "127.0.0.1:80 ", ":80"])
+def test_env_endpoint_takes_only_a_host_and_a_digit_port(tmp_path, endpoint):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_raw(transport="tcp")))
+    with pytest.raises(ConfigError, match="FEDSPLIT_ENDPOINT must be host:port .*0-65535"):
+        load_config(path, env={"FEDSPLIT_ENDPOINT": endpoint})
+
+
 def test_rejected_config_leaves_the_endpoint_alone(tmp_path):
     path = tmp_path / "cfg.json"
     bad = base_raw(transport="tcp", partition={"front": 1, "middle": 1, "back": 1})
@@ -242,6 +265,35 @@ def test_build_corpus_from_saved_file(tmp_path):
         build_corpus(big_cfg.corpus, big_cfg.model)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    vocab=st.integers(2, 40),
+    task=st.sampled_from(["copy", "lm", "cloze"]),
+    items=st.integers(1, 8),
+    length=st.integers(1, 6),
+    candidates=st.integers(2, 40),
+    clients=st.integers(1, 4),
+)
+def test_an_accepted_config_builds_and_shards_its_corpus_or_says_why(
+    vocab, task, items, length, candidates, clients
+):
+    raw = base_raw(
+        corpus={"task": task, "items": items, "length": length, "num_candidates": candidates},
+        strategy={"num_clients": clients},
+    )
+    raw["model"]["vocab_size"] = vocab
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    try:
+        corpus = build_corpus(cfg.corpus, cfg.model)
+        shards = shard_corpus(corpus, cfg.strategy.num_clients)
+    except ConfigError:
+        return
+    assert sum(len(shard) for shard in shards) == items
+
+
 @pytest.mark.parametrize("transport_kind", ["loopback", "tcp"])
 def test_client_batch_trains_on_shards_of_different_widths(tmp_path, transport_kind):
     # round-robin sharding gives client 0 every 2-token payload and client 1
@@ -258,7 +310,8 @@ def test_client_batch_trains_on_shards_of_different_widths(tmp_path, transport_k
         )
         summary, _ = run_train(config_from_dict(raw), tmp_path / mode)
         assert summary["payload"]["num_records"] == 2 * raw["training"]["steps"]
-        records = [json.loads(line) for line in (tmp_path / mode / "records.jsonl").open()]
+        lines = (tmp_path / mode / "records.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
         assert [(r["step"], r["client_id"]) for r in records] == [
             (s, c) for s in range(raw["training"]["steps"]) for c in (0, 1)
         ]

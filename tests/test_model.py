@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedsplit.errors import CheckpointError, PartitionError, ProtocolError
+from fedsplit.errors import CheckpointError, PartitionError, ProtocolError, ShapeError
 from fedsplit.experiment import _load_adapters, _save_adapters
 from fedsplit.model import (
     LoraConfig,
@@ -112,6 +112,14 @@ def test_forward_twice_without_backward_raises():
     middle.forward(h)
     with pytest.raises(ProtocolError):
         middle.forward(h)
+
+
+def test_a_positions_count_other_than_the_sequence_length_is_a_shape_error():
+    _, middle, _ = build_partitioned(CFG, PartitionSpec(2, 2, 2), seed=0)
+    h = np.zeros((1, 3, CFG.hidden_size))
+    with pytest.raises(ShapeError, match="got 2 positions for sequence length 3"):
+        middle.forward(h, positions=(0, 1))
+    middle.forward(h, positions=(0, 1, 2))
 
 
 def test_backward_without_forward_raises():

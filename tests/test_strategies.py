@@ -1,5 +1,6 @@
 """Client-batch concatenation and hierarchical sub-server training."""
 
+import dataclasses
 import struct
 import sys
 import threading
@@ -175,6 +176,18 @@ def test_batch_forward_rejects_mixed_seq_lens():
     server = ClientBatchServer(fresh_middle(), lr=0.1)
     with pytest.raises(BatchIncompatibilityError):
         server.batch_forward([short, long])
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda m: dataclasses.replace(m, payload=m.payload[..., :8]), "hidden shape"),
+    (lambda m: dataclasses.replace(m, positions=tuple(range(1, 6))), "rotary positions"),
+], ids=["width", "positions"])
+def test_batch_forward_rejects_a_client_that_differs_from_the_first(change, message):
+    msgs = hidden_msgs(2, seq=5)
+    server = ClientBatchServer(fresh_middle(), lr=0.1)
+    with pytest.raises(BatchIncompatibilityError, match=message):
+        server.batch_forward([msgs[0], change(msgs[1])])
+    assert len(server.batch_forward(msgs)) == 2  # the rejection left no step in flight
 
 
 def test_batch_forward_rejects_duplicates_and_overlap():

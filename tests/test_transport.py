@@ -1,5 +1,6 @@
 """Loopback and TCP transports must carry identical frames."""
 
+import socket
 import threading
 import time
 import tracemalloc
@@ -328,6 +329,34 @@ def test_a_tcp_transport_binds_the_endpoint_it_names():
     for kind in bad:
         with pytest.raises(ConfigError, match="unknown transport"):
             channel_pair(kind)
+
+
+def test_parse_endpoint_takes_a_host_and_a_port_in_range():
+    assert transport.parse_endpoint("127.0.0.1:0", "endpoint") == ("127.0.0.1", 0)
+    assert transport.parse_endpoint("a:b:65535", "endpoint") == ("a:b", 65535)
+    for text in ("", "80", ":80", "h:", "h:65536", "h:-1", "h:+80", "h: 80", "h:80 ", "h:\u00b2"):
+        with pytest.raises(ConfigError, match=r"^endpoint must be host:port .*0-65535"):
+            transport.parse_endpoint(text, "endpoint")
+
+
+def test_a_send_on_a_dead_tcp_socket_is_channel_closed():
+    server, client = channel_pair("tcp")
+    try:
+        client._frames._sock.shutdown(socket.SHUT_WR)
+        with pytest.raises(ChannelClosedError, match="socket send failed"):
+            client.send(make_messages(1)[0])
+    finally:
+        server.close()
+        client.close()
+
+
+def test_an_accept_timeout_is_a_protocol_error():
+    listener, _ = transport.tcp_listen()
+    try:
+        with pytest.raises(ProtocolError, match="accept timed out"):
+            transport.tcp_accept(listener, timeout=0.05)
+    finally:
+        listener.close()
 
 
 def test_serve_channel_closes_on_an_undecodable_frame():

@@ -275,6 +275,14 @@ def test_layout_lists_every_field_of_every_message_class_once():
         assert fields[-1] == "payload", cls
 
 
+def test_encoding_a_type_outside_the_layout_is_a_shape_error():
+    class Unlisted(GradMsg):
+        pass
+
+    with pytest.raises(ShapeError, match="unknown message type Unlisted"):
+        encode_message(Unlisted(np.zeros((1, 1, 2)), step_id=0, client_id=0))
+
+
 def _payload(*shape):
     n = int(np.prod(shape))
     return (np.arange(n, dtype=np.float64) - n / 3).reshape(shape) / 8
