@@ -397,7 +397,6 @@ def _prepare_output_dir(cfg: ExperimentConfig, override=None) -> Path:
     out = Path(override) if override is not None else cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     if cfg.raw:
-        validate_artifact(cfg.raw, "experiment_config.schema.json")
         (out / "config.json").write_text(_canonical(cfg.raw) + "\n", encoding="utf-8")
     return out
 

@@ -165,12 +165,13 @@ def _select_token(logits: np.ndarray, cfg: GenerationConfig, rng: np.random.Gene
 class InferenceServer:
     """Serves prefill and decode for any number of concurrent sessions.
 
-    A hidden-state message runs the trunk over the whole payload and
-    (re)initializes the cache for its session id, so uncached full-prefix
-    clients and cached prefills share one entry point. A cache-step message
-    extends an existing session by exactly one position; a position that
-    does not equal the session's cache length is a desync and is rejected
-    before any state changes.
+    A hidden-state message runs the trunk over the whole payload with a
+    fresh cache, kept for its session id once the pass succeeds; a
+    cache-step message extends the session's cache at one position. Either
+    is one trunk forward, which owns the rules of a pass: positions that do
+    not continue the cache (``ProtocolError``), a count other than the
+    payload's (``ShapeError``) or a pass past the context, all rejected
+    before any cache write. The server only rejects unknown sessions.
     """
 
     def __init__(self, middle: SegmentModel):
@@ -187,41 +188,23 @@ class InferenceServer:
     def handle(self, msg) -> HiddenStateMsg | CacheStepMsg:
         with self._lock:
             if isinstance(msg, HiddenStateMsg):
-                return self._handle_prefill(msg)
-            if isinstance(msg, CacheStepMsg):
-                return self._handle_decode(msg)
-            raise ProtocolError(
-                f"inference server cannot handle {type(msg).__name__} messages"
-            )
-
-    def _handle_prefill(self, msg: HiddenStateMsg) -> HiddenStateMsg:
-        cache = KVCache(len(self.middle.blocks))
-        with T.no_grad():
-            out = self.middle.forward(
-                msg.payload,
-                pad_lens=msg.mask_meta.pads,
-                positions=msg.positions,
-                cache=cache,
-            )
-        self._sessions[msg.step_id] = cache
-        return reply_to(msg, out.data)
-
-    def _handle_decode(self, msg: CacheStepMsg) -> CacheStepMsg:
-        if msg.session_id not in self._sessions:
-            raise ProtocolError(f"decode step for unknown session {msg.session_id}")
-        cache = self._sessions[msg.session_id]
-        if msg.position != cache.length:
-            raise ProtocolError(
-                f"cache desync in session {msg.session_id}: step position {msg.position}, "
-                f"server cache length {cache.length}"
-            )
-        if msg.payload.shape[1] != 1:
-            raise ProtocolError(
-                f"decode payload must cover exactly one position, got {msg.payload.shape}"
-            )
-        with T.no_grad():
-            out = self.middle.forward(msg.payload, pad_lens=0, cache=cache)
-        return reply_to(msg, out.data)
+                session_id, cache = msg.step_id, KVCache(len(self.middle.blocks))
+                pads, positions = msg.mask_meta.pads, msg.positions
+            elif isinstance(msg, CacheStepMsg):
+                session_id, pads, positions = msg.session_id, 0, (msg.position,)
+                if session_id not in self._sessions:
+                    raise ProtocolError(f"decode step for unknown session {session_id}")
+                cache = self._sessions[session_id]
+            else:
+                raise ProtocolError(
+                    f"inference server cannot handle {type(msg).__name__} messages"
+                )
+            with T.no_grad():
+                out = self.middle.forward(
+                    msg.payload, pad_lens=pads, positions=positions, cache=cache
+                )
+            self._sessions[session_id] = cache
+            return reply_to(msg, out.data)
 
     def drop_session(self, session_id: int) -> None:
         with self._lock:
@@ -247,10 +230,6 @@ class GenerationSession:
         self.session_id = next(_SESSION_IDS) if session_id is None else session_id
         self._restart(with_caches=False)
 
-    @property
-    def max_context(self) -> int:
-        return self.front.config.max_context
-
     def _check_prompt(self, prompt: Sequence[int]) -> list[int]:
         toks = [int(t) for t in prompt]
         if not toks:
@@ -259,9 +238,10 @@ class GenerationSession:
         bad = [t for t in toks if not 0 <= t < vocab]
         if bad:
             raise ShapeError(f"prompt tokens {bad[:4]} outside vocabulary of {vocab}")
-        if len(toks) > self.max_context:
+        max_context = self.front.config.max_context
+        if len(toks) > max_context:
             raise ContextOverflowError(
-                f"prompt of {len(toks)} tokens exceeds max context {self.max_context}"
+                f"prompt of {len(toks)} tokens exceeds max context {max_context}"
             )
         return toks
 
@@ -325,18 +305,17 @@ class GenerationSession:
         return logits
 
     def decode_step(self, last_token: int) -> np.ndarray:
-        """Feed one token; returns the logits predicting the next one."""
+        """Feed one token; returns the logits predicting the next one.
+
+        The front segment's forward rejects a bad token or a position past
+        the context before any cache write, leaving the session as it was."""
         if not self.tokens:
             raise ProtocolError("decode before prefill")
-        position = len(self.tokens)
-        if position >= self.max_context:
-            raise ContextOverflowError(
-                f"decode position {position} exceeds max context {self.max_context}"
-            )
-        (token,) = self._check_prompt([last_token])
+        token = int(last_token)
+        start = len(self.tokens) if self.use_cache else 0
+        logits = self._exchange(np.asarray([self.tokens[start:] + [token]]), start)[0]
         self.tokens.append(token)
-        start = position if self.use_cache else 0
-        return self._exchange(np.asarray([self.tokens[start:]]), start)[0]
+        return logits
 
     def generate(self, prompt: Sequence[int], cfg: GenerationConfig) -> GenerationResult:
         """Prefill then decode until the stop token or the token budget.

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContextOverflowError, ShapeError
+from .errors import ConfigError, ShapeError
 from .inference import GenerationSession
 
 
@@ -59,6 +59,9 @@ def score_multi_token(
     pays one single-position exchange per answer token. The prefill drops
     whatever the session held before, so one session scores any number of
     (prompt, answer) pairs in turn, each as a fresh session would.
+    Answer ids are checked here (the last is never fed); the context is the
+    segments' rule, so an answer that overruns it raises
+    ``ContextOverflowError`` after the prefill, from the first step past it.
     """
     toks = [int(t) for t in answer]
     if not toks:
@@ -67,12 +70,6 @@ def score_multi_token(
     bad = [t for t in toks if not 0 <= t < vocab]
     if bad:
         raise ShapeError(f"answer tokens {bad[:4]} outside vocabulary of {vocab}")
-    needed = len(list(prompt)) + len(toks) - 1
-    if needed > session.max_context:
-        raise ContextOverflowError(
-            f"prompt plus answer needs {needed} positions, max context is "
-            f"{session.max_context}"
-        )
     logits = session.prefill(prompt)
     total = 0.0
     for i, token in enumerate(toks):

@@ -78,8 +78,6 @@ def inject_noise(h: np.ndarray, scale: float, rng: np.random.Generator) -> np.nd
 def sequence_loss(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Token-mean cross-entropy over (batch, seq) targets; -1 marks ignored."""
     tgt = np.asarray(targets)
-    if logits.data.ndim != 3:
-        raise ShapeError(f"sequence logits must be 3-D, got {logits.data.shape}")
     if tgt.shape != logits.data.shape[:2]:
         raise ShapeError(
             f"targets shape {tgt.shape} does not match logits batch/seq {logits.data.shape[:2]}"

@@ -1,6 +1,7 @@
 """Split-model generation with mirrored caches versus full recompute."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from fedsplit.model import (
     build_partitioned,
 )
 from fedsplit.tensor import no_grad
-from fedsplit.wire import CacheStepMsg, HiddenStateMsg, MaskMeta, decode_message
+from fedsplit.wire import CacheStepMsg, HiddenStateMsg, MaskMeta, decode_message, encode_message
 
 CFG = ModelConfig(
     vocab_size=32, hidden_size=16, num_heads=2, num_blocks=3, mlp_hidden=24, max_context=48
@@ -456,9 +457,9 @@ def test_server_rejects_desynced_and_unknown_sessions():
     server.handle(
         HiddenStateMsg(hidden, MaskMeta(4, 0, 1), (0, 1, 2, 3), step_id=9, client_id=0)
     )
-    with pytest.raises(ProtocolError, match="desync"):
+    with pytest.raises(ProtocolError, match="positions must run from 4 to 4"):
         server.handle(CacheStepMsg(hidden[:, :1], position=7, session_id=9, step_id=1))
-    with pytest.raises(ProtocolError, match="one position"):
+    with pytest.raises(ShapeError, match="got 1 positions for sequence length 2"):
         server.handle(CacheStepMsg(hidden[:, :2], position=4, session_id=9, step_id=1))
     reply = server.handle(CacheStepMsg(hidden[:, :1], position=4, session_id=9, step_id=1))
     assert reply.payload.shape == (1, 1, CFG.hidden_size)
@@ -510,6 +511,106 @@ def test_server_rejects_a_prefill_whose_positions_skip_ahead():
         server.handle(msg)
     with pytest.raises(ProtocolError, match="unknown session"):
         server.session_length(1)
+
+
+DEEP = ModelConfig(
+    vocab_size=32, hidden_size=16, num_heads=2, num_blocks=4, mlp_hidden=24, max_context=48
+)
+DEEP_PART = PartitionSpec(1, 2, 1)
+
+
+def _prefilled_server(middle):
+    """A server holding session 9 over 4 positions of a two-block trunk."""
+    server = InferenceServer(middle)
+    prompt = np.random.default_rng(3).normal(size=(1, 4, DEEP.hidden_size))
+    server.handle(HiddenStateMsg(prompt, MaskMeta(4, 0, 1), (0, 1, 2, 3), step_id=9, client_id=0))
+    return server
+
+
+STEP = np.random.default_rng(4).normal(size=(1, 2, DEEP.hidden_size))
+
+
+@pytest.mark.parametrize(
+    "msg, error, match",
+    [
+        (CacheStepMsg(STEP[:, :1], position=3, session_id=9, step_id=0), ProtocolError, None),
+        (CacheStepMsg(STEP[:, :1], position=5, session_id=9, step_id=0), ProtocolError, None),
+        (CacheStepMsg(STEP, position=4, session_id=9, step_id=0), ShapeError, None),
+        (CacheStepMsg(np.concatenate([STEP[:, :1]] * 2), position=4, session_id=9, step_id=0),
+         ShapeError, "does not extend"),
+        (CacheStepMsg(STEP[:, :1], position=4, session_id=8, step_id=0),
+         ProtocolError, "unknown session 8"),
+    ],
+    ids=["lagging", "skipped", "two-positions", "two-rows", "unknown-session"],
+)
+def test_a_rejected_decode_step_leaves_the_server_session_intact(msg, error, match):
+    middle = build_partitioned(DEEP, DEEP_PART, seed=0)[1]
+    good = CacheStepMsg(STEP[:, :1], position=4, session_id=9, step_id=0)
+    expected = _prefilled_server(middle).handle(good)
+    server = _prefilled_server(middle)
+    with pytest.raises(error, match=match):
+        server.handle(msg)
+    assert server.session_length(9) == 4
+    assert encode_message(server.handle(good)) == encode_message(expected)
+    assert server.session_length(9) == 5
+
+
+def greedy_logits(session, logits, steps):
+    out = []
+    for _ in range(steps):
+        logits = session.decode_step(int(np.argmax(logits)))
+        out.append(logits)
+    return out
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_skipped_decode_step_closes_its_channel_and_spares_other_sessions(
+    transport, monkeypatch
+):
+    captured = []
+    monkeypatch.setattr(threading, "excepthook", captured.append)
+    front, middle, back = build_partitioned(CFG, PART, seed=0)
+    prompts = ([4, 9, 2], [17, 3, 8, 11])
+    with InferenceStack(front, middle, back, transport=transport) as solo:
+        first = solo.session.prefill(prompts[1])
+        expected = [first] + greedy_logits(solo.session, first, 6)
+    server = InferenceServer(middle)
+    with InferenceStack(front, None, back, transport=transport, server=server) as other:
+        first = other.session.prefill(prompts[1])
+        got = [first] + greedy_logits(other.session, first, 3)
+        with InferenceStack(front, None, back, transport=transport, server=server) as bad:
+            bad.session.prefill(prompts[0])
+            sid = bad.session.session_id
+            skipped = CacheStepMsg(np.zeros((1, 1, CFG.hidden_size)), position=4,
+                                   session_id=sid, step_id=0)
+            with pytest.raises(ChannelClosedError):
+                bad.session.channel.request(skipped, timeout=5.0)
+            assert server.session_length(sid) == 3
+        got += greedy_logits(other.session, got[-1], 3)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
+    assert [a.exc_type for a in captured] == [ProtocolError]
+
+
+@pytest.mark.parametrize("use_cache", [True, False])
+def test_a_decode_step_past_the_context_leaves_the_session_as_it_was(use_cache):
+    small = ModelConfig(
+        vocab_size=32, hidden_size=16, num_heads=2, num_blocks=3, mlp_hidden=24, max_context=6
+    )
+    front, middle, back = build_partitioned(small, PART, seed=0)
+    with InferenceStack(front, middle, back, use_cache=use_cache) as stack:
+        session = stack.session
+        session.prefill([1, 2, 3, 4, 5])
+        session.decode_step(6)
+        sent = session.channel.stats.snapshot()["totals"]["sent_count"]
+        with pytest.raises(ContextOverflowError, match="max context 6"):
+            session.decode_step(7)
+        assert session.tokens == [1, 2, 3, 4, 5, 6]
+        assert session.channel.stats.snapshot()["totals"]["sent_count"] == sent
+        assert stack.server.session_length(session.session_id) == 6
+        if use_cache:
+            assert session.front_cache.length == session.back_cache.length == 6
 
 
 def test_decode_overflow_returns_partial_result_with_error():
