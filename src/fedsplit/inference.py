@@ -44,8 +44,6 @@ from .model import SegmentModel
 from .transport import MessageChannel, channel_pair, serve_channel
 from .wire import CacheStepMsg, HiddenStateMsg, MaskMeta, reply_to
 
-_SESSION_IDS = itertools.count(1)
-
 # Rows per batched prefill. With the default model (width 64, 4 heads, context
 # 128) one exchange holds at most 1 MiB of hidden state and 8.4 MB of
 # attention scores.
@@ -163,7 +161,8 @@ def _select_token(logits: np.ndarray, cfg: GenerationConfig, rng: np.random.Gene
 
 
 class InferenceServer:
-    """Serves prefill and decode for any number of concurrent sessions.
+    """Serves prefill and decode to one peer, the channel of its stack, so
+    peers share only the trunk and session ids are per peer.
 
     A hidden-state message runs the trunk over the whole payload with a
     fresh cache, kept for its session id once the pass succeeds; a
@@ -206,14 +205,13 @@ class InferenceServer:
             self._sessions[session_id] = cache
             return reply_to(msg, out.data)
 
-    def drop_session(self, session_id: int) -> None:
-        with self._lock:
-            self._sessions.pop(session_id, None)
-
 
 class GenerationSession:
     """Client half of generation: the front and back segments plus the caches
     of the prefix it last sent."""
+
+    # The only session on its channel, whose server serves that channel alone.
+    session_id = 0
 
     def __init__(
         self,
@@ -221,13 +219,11 @@ class GenerationSession:
         back: SegmentModel,
         channel: MessageChannel,
         use_cache: bool = True,
-        session_id: int | None = None,
     ):
         self.front = front
         self.back = back
         self.channel = channel
         self.use_cache = use_cache
-        self.session_id = next(_SESSION_IDS) if session_id is None else session_id
         self._restart(with_caches=False)
 
     def _check_prompt(self, prompt: Sequence[int]) -> list[int]:
@@ -257,7 +253,8 @@ class GenerationSession:
         across the split; returns the ``(rows, vocab)`` logits at its last
         position. From position 0 it goes as a ``HiddenStateMsg``, which
         (re)fills the session's caches if it holds any; later it goes as one
-        ``CacheStepMsg`` extending them."""
+        ``CacheStepMsg`` extending them. A failure after the front forward
+        drops the prefix, since the caches no longer agree on its length."""
         rows, length = ids.shape
         with T.no_grad():
             h = self.front.forward(ids, cache=self.front_cache)
@@ -267,16 +264,20 @@ class GenerationSession:
         else:
             msg = CacheStepMsg(h.data, position=start, session_id=self.session_id,
                                step_id=next(self._steps))
-        reply = self.channel.request(msg)
-        with T.no_grad():
-            logits = self.back.forward(reply.payload, cache=self.back_cache)
+        try:
+            reply = self.channel.request(msg)
+            with T.no_grad():
+                logits = self.back.forward(reply.payload, cache=self.back_cache)
+        except BaseException:
+            self.tokens = []
+            raise
         return logits.data[:, -1]
 
     def prefill(self, prompt: Sequence[int]) -> np.ndarray:
         """Full-prompt pass; returns the logits at the last position.
 
         Any earlier prefix is dropped first, so one session serves any number
-        of prompts, each exactly as a fresh session with the same id would.
+        of prompts, each exactly as a fresh session would.
         """
         toks = self._check_prompt(prompt)
         self._restart(with_caches=self.use_cache)
@@ -341,7 +342,8 @@ class GenerationSession:
 
 
 class InferenceStack:
-    """A wired client session, its server, and the serving thread."""
+    """A wired client session, its own server, and the serving thread.
+    ``server`` lends only its trunk: no two stacks share session state."""
 
     def __init__(
         self,
@@ -350,30 +352,26 @@ class InferenceStack:
         back: SegmentModel,
         transport: str = "loopback",
         use_cache: bool = True,
-        session_id: int | None = None,
         server: InferenceServer | None = None,
         record_frames: bool = False,
     ):
-        if server is None:
-            if middle is None:
-                raise ConfigError("either a trunk segment or a server is required")
-            server = InferenceServer(middle)
-        self.server = server
+        if server is not None:
+            middle = server.middle
+        if middle is None:
+            raise ConfigError("either a trunk segment or a server is required")
+        self.server = InferenceServer(middle)
         self.server_channel, client_channel = channel_pair(transport, record_frames)
-        self.session = GenerationSession(
-            front, back, client_channel, use_cache=use_cache, session_id=session_id
-        )
+        self.session = GenerationSession(front, back, client_channel, use_cache=use_cache)
         self._thread = threading.Thread(
-            target=serve_channel, args=(self.server_channel, server.handle), daemon=True
+            target=serve_channel, args=(self.server_channel, self.server.handle), daemon=True
         )
         self._thread.start()
 
     def close(self) -> None:
-        """Close both ends, stop the serving thread and drop the session's caches."""
+        """Close both ends and stop the serving thread."""
         self.session.channel.close()
         self.server_channel.close()
         self._thread.join(timeout=5.0)
-        self.server.drop_session(self.session.session_id)
 
     def __enter__(self):
         return self

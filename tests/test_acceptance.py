@@ -695,14 +695,13 @@ def test_criterion_11_transport_invariance(capsys):
         runs = {}
         for transport in ("loopback", "tcp"):
             frames, tokens = [], []
-            for session_id, prompt in enumerate(prompts):
+            for prompt in prompts:
                 with InferenceStack(
                     front,
                     middle,
                     back,
                     transport=transport,
                     use_cache=True,
-                    session_id=session_id,
                     record_frames=True,
                 ) as stack:
                     result = stack.session.generate(prompt, gen)

@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from fedsplit import corpus, experiment, inference, model, scoring, strategies  # noqa: F401
 from fedsplit import tensor, training, transport, wire  # noqa: F401
 
@@ -74,3 +76,25 @@ def test_bench_stages_import_against_the_current_package():
     assert stages.ClientBatchServer is strategies.ClientBatchServer
     assert stages.build_hierarchical_session is strategies.build_hierarchical_session
     assert stages.build_partitioned is model.build_partitioned
+
+
+def test_traced_inference_records_one_server_span_per_request():
+    """The tracer names ``InferenceServer.handle`` spans from ``(server, msg)``,
+    so a change to how a stack's serve thread calls ``handle`` must fail here
+    and not only in a traced benchmark run."""
+    cfg = model.ModelConfig(
+        vocab_size=32, hidden_size=16, num_heads=2, num_blocks=3, mlp_hidden=24, max_context=16
+    )
+    front, middle, back = model.build_partitioned(cfg, model.PartitionSpec(1, 1, 1), seed=0)
+    tracer = load_perfbench("tracer").Tracer()
+    tracer.install()
+    try:
+        with inference.InferenceStack(front, None, back, transport="tcp",
+                                      server=inference.InferenceServer(middle)) as stack:
+            logits = stack.session.prefill([3, 1, 4])
+            stack.session.decode_step(int(np.argmax(logits)))
+    finally:
+        tracer.uninstall()
+    names = [rec[0] for _, spans in tracer.threads() for rec in spans]
+    assert names.count("inference.server.prefill") == 1
+    assert names.count("inference.server.decode") == 1

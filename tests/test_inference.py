@@ -218,21 +218,20 @@ def test_reprefilled_session_matches_a_fresh_session(transport, use_cache):
     rng = np.random.default_rng(13)
     first, second = random_prompt(rng, 7), random_prompt(rng, 5)
     decode = GenerationConfig(max_new_tokens=6)
-    sid = 7_000 + int(use_cache)
-    kwargs = dict(transport=transport, use_cache=use_cache, session_id=sid, record_frames=True)
+    kwargs = dict(transport=transport, use_cache=use_cache, record_frames=True)
     with build_stack(**kwargs) as fresh:
         reference_logits = fresh.session.prefill(second)
     with build_stack(**kwargs) as fresh:
         reference = fresh.session.generate(second, decode)
         reference_frames = (fresh.session.channel.sent_log, fresh.session.channel.recv_log)
-        reference_length = fresh.server.session_length(sid)
+        reference_length = fresh.server.session_length(fresh.session.session_id)
     with build_stack(**kwargs) as stack:
         session = stack.session
         assert session.generate(first, decode).ok
         sent, recv = len(session.channel.sent_log), len(session.channel.recv_log)
         result = session.generate(second, decode)
         frames = (session.channel.sent_log[sent:], session.channel.recv_log[recv:])
-        assert stack.server.session_length(sid) == reference_length
+        assert stack.server.session_length(session.session_id) == reference_length
         assert session.tokens == second + result.tokens
         logits = session.prefill(second)
     assert result.ok and result.tokens == reference.tokens
@@ -294,9 +293,6 @@ def test_prefill_batch_guards(transport):
         assert stack.server.session_length(session.session_id) == 6
         with pytest.raises(ProtocolError, match="decode before prefill"):
             session.decode_step(1)
-        sid = session.session_id
-    with pytest.raises(ProtocolError, match="unknown session"):
-        stack.server.session_length(sid)
     for prompts, logits in zip((first, second), got):
         with build_stack(transport=transport) as fresh:
             np.testing.assert_array_equal(fresh.session.prefill_batch(prompts), logits)
@@ -463,27 +459,6 @@ def test_server_rejects_desynced_and_unknown_sessions():
         server.handle(CacheStepMsg(hidden[:, :2], position=4, session_id=9, step_id=1))
     reply = server.handle(CacheStepMsg(hidden[:, :1], position=4, session_id=9, step_id=1))
     assert reply.payload.shape == (1, 1, CFG.hidden_size)
-    server.drop_session(9)
-    with pytest.raises(ProtocolError):
-        server.session_length(9)
-
-
-@pytest.mark.parametrize("transport", ["loopback", "tcp"])
-@pytest.mark.parametrize("use_cache", [True, False])
-def test_closing_a_stack_drops_its_server_session(transport, use_cache):
-    front, middle, back = build_partitioned(CFG, PART, seed=0)
-    server = InferenceServer(middle)
-    ids = []
-    for _ in range(3):
-        with InferenceStack(front, None, back, transport=transport, use_cache=use_cache,
-                            server=server) as stack:
-            manual_greedy(stack.session, [3, 1, 4], 2)
-            sid = stack.session.session_id
-            assert server.session_length(sid) == 5
-        ids.append(sid)
-        with pytest.raises(ProtocolError, match="unknown session"):
-            server.session_length(sid)
-    assert len(set(ids)) == 3
 
 
 def test_server_rejects_oversized_prefill_and_foreign_messages():
@@ -585,7 +560,7 @@ def test_a_skipped_decode_step_closes_its_channel_and_spares_other_sessions(
                                    session_id=sid, step_id=0)
             with pytest.raises(ChannelClosedError):
                 bad.session.channel.request(skipped, timeout=5.0)
-            assert server.session_length(sid) == 3
+            assert bad.server.session_length(sid) == 3
         got += greedy_logits(other.session, got[-1], 3)
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
@@ -685,18 +660,15 @@ def test_a_reply_stamped_for_another_session_or_position_is_rejected(transport, 
     prompt = [2, 7, 1]
     with build_stack(seed=3) as reference_stack:
         clean = reference_stack.session.generate(prompt, GenerationConfig(max_new_tokens=4))
-    front, middle, back = build_partitioned(CFG, PART, seed=3)
-    server = InferenceServer(middle)
-    handle = server.handle
+    with build_stack(seed=3, transport=transport) as stack:
+        send = stack.server_channel.send
 
-    def restamp(msg):
-        reply = handle(msg)
-        if isinstance(reply, kind):
-            reply = dataclasses.replace(reply, **{field: getattr(reply, field) + 1})
-        return reply
+        def restamp(reply):
+            if isinstance(reply, kind):
+                reply = dataclasses.replace(reply, **{field: getattr(reply, field) + 1})
+            send(reply)
 
-    server.handle = restamp
-    with InferenceStack(front, None, back, transport=transport, server=server) as stack:
+        stack.server_channel.send = restamp
         session = stack.session
         if kind is HiddenStateMsg:
             with pytest.raises(ProtocolError):
@@ -709,6 +681,38 @@ def test_a_reply_stamped_for_another_session_or_position_is_rejected(transport, 
     assert not result.ok
     assert result.error.startswith("ProtocolError")
     assert result.tokens == clean.tokens[: 0 if kind is HiddenStateMsg else 1]
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_failed_exchange_drops_the_prefix_until_the_next_prefill(transport):
+    prompt = [2, 7, 1]
+    decode = GenerationConfig(max_new_tokens=4)
+    with build_stack(seed=3, transport=transport, record_frames=True) as fresh:
+        expected = fresh.session.generate(prompt, decode)
+        expected_frames = (fresh.session.channel.sent_log, fresh.session.channel.recv_log)
+    with build_stack(seed=3, transport=transport, record_frames=True) as stack:
+        send = stack.server_channel.send
+        restamped = []
+
+        def restamp_first_decode_reply(reply):
+            if isinstance(reply, CacheStepMsg) and not restamped:
+                restamped.append(reply)
+                reply = dataclasses.replace(reply, step_id=reply.step_id + 1)
+            send(reply)
+
+        stack.server_channel.send = restamp_first_decode_reply
+        session = stack.session
+        token = int(np.argmax(session.prefill(prompt)))
+        with pytest.raises(ProtocolError, match="does not answer"):
+            session.decode_step(token)
+        with pytest.raises(ProtocolError, match="decode before prefill"):
+            session.decode_step(token)
+        sent, recv = len(session.channel.sent_log), len(session.channel.recv_log)
+        result = session.generate(prompt, decode)
+        frames = (session.channel.sent_log[sent:], session.channel.recv_log[recv:])
+    assert expected.ok and result.ok
+    assert result.tokens == expected.tokens
+    assert frames == expected_frames
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +778,38 @@ def test_concurrent_sessions_share_a_server_without_mixing_caches():
                     logits[i] = sessions[i].decode_step(tok)
     assert tokens[0] == solo[0]
     assert tokens[1] == solo[1]
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_stack_cannot_reach_another_stacks_session(transport, monkeypatch):
+    captured = []
+    monkeypatch.setattr(threading, "excepthook", captured.append)
+    front, middle, back = build_partitioned(CFG, PART, seed=0)
+    prompt = [17, 3, 8, 11]
+    with InferenceStack(front, middle, back, transport=transport) as solo:
+        first = solo.session.prefill(prompt)
+        expected = [first] + greedy_logits(solo.session, first, 4)
+    server = InferenceServer(middle)
+    with InferenceStack(front, None, back, transport=transport, server=server) as a:
+        sid = a.session.session_id
+        got = [a.session.prefill(prompt)]
+        with InferenceStack(front, None, back, transport=transport, server=server) as b:
+            foreign = CacheStepMsg(np.zeros((1, 1, CFG.hidden_size)), position=len(prompt),
+                                   session_id=sid, step_id=0)
+            with pytest.raises(ChannelClosedError):
+                b.session.channel.request(foreign, timeout=5.0)
+            with pytest.raises(ProtocolError, match="unknown session"):
+                server.session_length(sid)
+        assert a.server.session_length(sid) == len(prompt)
+        got += greedy_logits(a.session, got[-1], 4)
+    with pytest.raises(ProtocolError, match="unknown session"):
+        server.session_length(sid)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
+    assert [(c.exc_type, str(c.exc_value)) for c in captured] == [
+        (ProtocolError, f"decode step for unknown session {sid}")
+    ]
 
 
 def test_tcp_generation_matches_loopback():
