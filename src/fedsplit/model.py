@@ -159,26 +159,10 @@ def init_parameter_set(
 # layers
 
 
-class AdaptedLinear:
-    """Frozen dense projection with an optional trainable low-rank delta,
-    read from the ``{prefix}.weight`` / ``.lora_a`` / ``.lora_b`` entries of
-    a segment's parameter table."""
-
-    def __init__(self, params: dict[str, Tensor], prefix: str, scaling: float):
-        self.weight = params[f"{prefix}.weight"]
-        self.lora_a = params.get(f"{prefix}.lora_a")
-        self.lora_b = params.get(f"{prefix}.lora_b")
-        self.scaling = scaling
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if self.lora_a is None:
-            return T.linear(x, self.weight)
-        return T.adapted_linear(x, self.weight, self.lora_a, self.lora_b, self.scaling)
-
-
 class Block:
     """One pre-norm transformer block over the ``prefix`` entries of a
-    segment's parameter table."""
+    segment's parameter table: an attention and an MLP sublayer, each one
+    tape node."""
 
     def __init__(
         self,
@@ -187,11 +171,13 @@ class Block:
         config: ModelConfig,
         lora: LoraConfig | None,
     ):
-        scaling = 1.0 if lora is None else lora.scaling
         self.config = config
+        self.scaling = 1.0 if lora is None else lora.scaling
         self.attn_norm = params[f"{prefix}.attn_norm.weight"]
-        self.query, self.key, self.value, self.out = (
-            AdaptedLinear(params, f"{prefix}.attn.{target}", scaling) for target in ATTN_TARGETS
+        # (weight, lora_a, lora_b) per attention projection; no adapters without LoRA
+        self.attn = tuple(
+            (params[f"{p}.weight"], params.get(f"{p}.lora_a"), params.get(f"{p}.lora_b"))
+            for p in [f"{prefix}.attn.{target}" for target in ATTN_TARGETS]
         )
         self.mlp_norm = params[f"{prefix}.mlp_norm.weight"]
         self.gate = params[f"{prefix}.mlp.gate.weight"]
@@ -201,30 +187,19 @@ class Block:
     def forward(
         self,
         x: Tensor,
-        positions: Sequence[int],
         allowed: np.ndarray,
         rope: tuple[np.ndarray, np.ndarray],
         cache=None,
     ) -> Tensor:
         """``allowed`` masks the cached history plus this pass's keys and
-        ``rope`` holds the rotary tables at ``positions``; the segment builds
-        both once per pass for all of its blocks."""
+        ``rope`` holds the rotary tables at the pass's positions; the segment
+        builds both once per pass for all of its blocks."""
         cfg = self.config
-        xn = T.rms_norm(x, self.attn_norm, cfg.rms_eps)
-        q = T.split_heads(self.query(xn), cfg.num_heads)
-        k = T.split_heads(self.key(xn), cfg.num_heads)
-        v = T.split_heads(self.value(xn), cfg.num_heads)
-        qr = T.apply_rope(q, positions, cfg.rope_base, tables=rope)
-        kr = T.apply_rope(k, positions, cfg.rope_base, tables=rope)
-        if cache is None:
-            ctx = T.attend(qr, kr, v, allowed)
-        else:
-            k_full, v_full = cache.append(kr.data, v.data)
-            ctx = T.attend(qr, Tensor(k_full), Tensor(v_full), allowed)
-        h = T.add(x, self.out(T.merge_heads(ctx)))
-        hn = T.rms_norm(h, self.mlp_norm, cfg.rms_eps)
-        gated = T.mul(T.silu(T.linear(hn, self.gate)), T.linear(hn, self.up))
-        return T.add(h, T.linear(gated, self.down))
+        h = T.attention_sublayer(
+            x, self.attn_norm, self.attn, self.scaling, cfg.num_heads, allowed, rope,
+            cfg.rms_eps, cache,
+        )
+        return T.mlp_sublayer(h, self.mlp_norm, self.gate, self.up, self.down, cfg.rms_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +308,7 @@ class SegmentModel:
                 np.asarray(positions, dtype=np.int64), self.config.head_dim, self.config.rope_base
             )
             for block, entry in zip(self.blocks, entries):
-                x = block.forward(x, positions, allowed, rope, entry)
+                x = block.forward(x, allowed, rope, entry)
         if self.role in ("back", "full"):
             x = T.rms_norm(x, self.final_norm, self.config.rms_eps)
             x = T.linear(x, self.head)

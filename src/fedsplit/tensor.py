@@ -20,8 +20,17 @@ in every other thread.
 
 Only the operators needed by the model family live here: dense matmul/linear,
 the fused LoRA projection, RMSNorm, SiLU, rotary-embedded masked attention,
-embedding lookup, and a fused softmax cross-entropy loss. All backwards are
-hand-derived; finite-difference tests pin them independently.
+embedding lookup, a fused softmax cross-entropy loss, and the two block
+sublayers. All backwards are hand-derived; finite-difference tests pin them
+independently.
+
+Kernels and ops. Each formula lives once, in a kernel: a plain function over
+arrays (``_project``, ``_rms_norm``, ``_silu``, ``_rotate``,
+``_attention_probs``, ``_split_heads``, ...) with a ``*_backward`` partner
+that computes only the gradients asked for. An op is a thin wrapper that
+checks shapes, calls the kernels and records one tape node. The block
+sublayers call the same kernels, so a sublayer is bitwise the graph of ops
+it replaces.
 
 Temporaries. A kernel keeps at most one or two full-size temporaries alive
 and writes through ``out=`` or in place. Every fresh buffer of a few hundred
@@ -48,6 +57,18 @@ as one tape node instead of five. Its backward lists ``x`` twice among the
 parents and returns ``(gx_lora, gx_base, gw, ga, gb)``, so ``x`` receives its
 low-rank part before its base part: the order in which the composed graph's
 reverse walk adds them, and with it the same bits.
+
+``attention_sublayer`` and ``mlp_sublayer`` make a block two tape nodes
+instead of twenty, so a cached decode step builds two Tensors per block and
+a pass makes far fewer Python calls. Floating-point addition is not
+associative, so each backward sums a gradient that several ops of the
+composed graph fed in the order that graph's reverse ``_id`` walk summed it:
+the attention norm's output gets the value projection's low-rank part, then
+its base part, then the key's two parts, then the query's; the MLP norm's
+output gets up's part before gate's; and the block input, listed twice among
+the parents, gets the residual's gradient before the norm's. Frozen parents
+get None. Both sublayers are pinned bitwise against the composed graphs in
+``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -239,15 +260,9 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         )
 
     def backward(g):
-        gx = g @ w.data if x.requires_grad else None
-        gw = None
-        if w.requires_grad:
-            g2 = g.reshape(-1, w.data.shape[0])
-            x2 = x.data.reshape(-1, w.data.shape[1])
-            gw = g2.T @ x2
-        return gx, gw
+        return _linear_backward(g, x.data, w.data, x.requires_grad, w.requires_grad)
 
-    return _make(x.data @ w.data.T, (x, w), backward)
+    return _make(_project(x.data, w)[0], (x, w), backward)
 
 
 def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float) -> Tensor:
@@ -269,44 +284,85 @@ def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float) -
             f"adapted_linear shapes do not chain: x {x.data.shape}, w {w.data.shape}, "
             f"a {a.data.shape}, b {b.data.shape}"
         )
-    c = float(scaling)
-    h = x.data @ a.data.T
-    out = x.data @ w.data.T
-    delta = h @ b.data.T
-    delta *= c
-    out += delta
+    out, h = _project(x.data, w, a, b, scaling)
 
     def backward(g):
-        gx_lora = gx_base = gw = ga = gb = None
-        x2 = x.data.reshape(-1, in_dim)
-        if x.requires_grad or a.requires_grad or b.requires_grad:
-            gd = g * c
-            if b.requires_grad:
-                gb = gd.reshape(-1, out_dim).T @ h.reshape(-1, rank)
-            if x.requires_grad or a.requires_grad:
-                gh = gd @ b.data
-                if x.requires_grad:
-                    gx_lora = gh @ a.data
-                if a.requires_grad:
-                    ga = gh.reshape(-1, rank).T @ x2
-        if x.requires_grad:
-            gx_base = g @ w.data
-        if w.requires_grad:
-            gw = g.reshape(-1, out_dim).T @ x2
-        return gx_lora, gx_base, gw, ga, gb
+        gx_lora, gx_base, grads = _projection_backward(g, x.data, (w, a, b), h, scaling, x.requires_grad)
+        return (gx_lora, gx_base, *grads)
 
     return _make(out, (x, x, w, a, b), backward)
 
 
+def _project(x, w, a=None, b=None, scaling=1.0):
+    """``x @ w.T``, plus ``((x @ a.T) @ b.T) * scaling`` when ``a`` is given,
+    for an array ``x`` and weight Tensors.
+
+    Returns the output and ``x @ a.T`` (None without adapters), which the
+    backward needs.
+    """
+    if a is None:
+        return x @ w.data.T, None
+    h = x @ a.data.T
+    out = x @ w.data.T
+    delta = h @ b.data.T
+    delta *= float(scaling)
+    out += delta
+    return out, h
+
+
+def _linear_backward(g, x, w, need_x, need_w):
+    """Gradients ``(gx, gw)`` of ``x @ w.T``, each None unless needed."""
+    gx = g @ w if need_x else None
+    gw = None
+    if need_w:
+        gw = g.reshape(-1, w.shape[0]).T @ x.reshape(-1, w.shape[1])
+    return gx, gw
+
+
+def _projection_backward(g, x, proj, h, scaling, need_x):
+    """Gradients of ``_project`` over the ``(w, a, b)`` Tensors of ``proj``
+    (``a`` and ``b`` None for a plain projection).
+
+    Returns ``(gx_lora, gx_base, grads)``: ``x``'s low-rank and base parts,
+    and one gradient per Tensor of ``proj`` that is not None, each None
+    unless that Tensor has ``requires_grad``.
+    """
+    w, a, b = proj
+    gx_base, gw = _linear_backward(g, x, w.data, need_x, w.requires_grad)
+    if a is None:
+        return None, gx_base, (gw,)
+    gx_lora = ga = gb = None
+    if need_x or a.requires_grad or b.requires_grad:
+        gd = g * float(scaling)
+        if b.requires_grad:
+            gb = gd.reshape(-1, b.data.shape[0]).T @ h.reshape(-1, h.shape[-1])
+        if need_x or a.requires_grad:
+            gh = gd @ b.data
+            if need_x:
+                gx_lora = gh @ a.data
+            if a.requires_grad:
+                ga = gh.reshape(-1, h.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+    return gx_lora, gx_base, (gw, ga, gb)
+
+
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), computed stably for large |x|."""
-    sig = _sigmoid(x.data)
-    out = x.data * sig
+    out, sig = _silu(x.data)
 
     def backward(g):
-        return (g * (sig * (1.0 + x.data * (1.0 - sig))),)
+        return (_silu_backward(g, x.data, sig),)
 
     return _make(out, (x,), backward)
+
+
+def _silu(x):
+    """``x * sigmoid(x)`` and the sigmoid, which the backward needs."""
+    sig = _sigmoid(x)
+    return x * sig, sig
+
+
+def _silu_backward(g, x, sig):
+    return g * (sig * (1.0 + x * (1.0 - sig)))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -334,29 +390,41 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"rms_norm weight shape {weight.data.shape} does not match feature dim {dim}"
         )
-    # the sum and the division np.mean does, without its wrapper; the
-    # squares' buffer then holds the output
-    out = x.data * x.data
-    ms = np.add.reduce(out, axis=-1, keepdims=True) / dim
-    r = np.sqrt(ms + eps)
-    np.divide(x.data, r, out=out)
-    out *= weight.data
+    out, r = _rms_norm(x.data, weight.data, eps)
 
     def backward(g):
-        gx = gw = None
-        if weight.requires_grad:
-            gw = (g * (x.data / r)).reshape(-1, dim).sum(axis=0)
-        if x.requires_grad:
-            # gx = g*w / r - x * (sum(g*w*x) / (dim * r^3)), in two buffers
-            gx = g * weight.data
-            t = gx * x.data
-            dot = np.sum(t, axis=-1, keepdims=True)
-            np.multiply(x.data, dot / (dim * r * r * r), out=t)
-            gx /= r
-            gx -= t
-        return gx, gw
+        return _rms_norm_backward(g, x.data, weight.data, r, x.requires_grad, weight.requires_grad)
 
     return _make(out, (x, weight), backward)
+
+
+def _rms_norm(x, w, eps):
+    """The normalized, scaled ``x`` and the per-row root mean square ``r``."""
+    # the sum and the division np.mean does, without its wrapper; the
+    # squares' buffer then holds the output
+    out = x * x
+    ms = np.add.reduce(out, axis=-1, keepdims=True) / x.shape[-1]
+    r = np.sqrt(ms + eps)
+    np.divide(x, r, out=out)
+    out *= w
+    return out, r
+
+
+def _rms_norm_backward(g, x, w, r, need_x, need_w):
+    """Gradients ``(gx, gw)`` of ``_rms_norm``, each None unless needed."""
+    dim = x.shape[-1]
+    gx = gw = None
+    if need_w:
+        gw = (g * (x / r)).reshape(-1, dim).sum(axis=0)
+    if need_x:
+        # gx = g*w / r - x * (sum(g*w*x) / (dim * r^3)), in two buffers
+        gx = g * w
+        t = gx * x
+        dot = np.sum(t, axis=-1, keepdims=True)
+        np.multiply(x, dot / (dim * r * r * r), out=t)
+        gx /= r
+        gx -= t
+    return gx, gw
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -379,27 +447,34 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def split_heads(x: Tensor, num_heads: int) -> Tensor:
     """(batch, seq, dim) -> (batch, heads, seq, dim // heads)."""
-    b, s, d = x.data.shape
+    _, _, d = x.data.shape
     if d % num_heads != 0:
         raise ShapeError(f"hidden dim {d} not divisible by {num_heads} heads")
-    hd = d // num_heads
-    out = x.data.reshape(b, s, num_heads, hd).transpose(0, 2, 1, 3)
 
     def backward(g):
-        return (g.transpose(0, 2, 1, 3).reshape(b, s, d),)
+        return (_merge_heads(g),)
 
-    return _make(out, (x,), backward)
+    return _make(_split_heads(x.data, num_heads), (x,), backward)
 
 
 def merge_heads(x: Tensor) -> Tensor:
     """(batch, heads, seq, head_dim) -> (batch, seq, heads * head_dim)."""
-    b, h, s, hd = x.data.shape
-    out = x.data.transpose(0, 2, 1, 3).reshape(b, s, h * hd)
+    num_heads = x.data.shape[1]
 
     def backward(g):
-        return (g.reshape(b, s, h, hd).transpose(0, 2, 1, 3),)
+        return (_split_heads(g, num_heads),)
 
-    return _make(out, (x,), backward)
+    return _make(_merge_heads(x.data), (x,), backward)
+
+
+def _split_heads(x, num_heads):
+    b, s, d = x.shape
+    return x.reshape(b, s, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    b, h, s, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, s, h * hd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -467,29 +542,30 @@ def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """[v1*cos - v2*sin, v2*cos + v1*sin] over the halves of the last axis.
 
     The arithmetic runs on one contiguous half-size temporary; the strided
-    halves of ``v`` and of the output are only copied, since a ufunc over
-    strided or broadcast operands allocates iterator buffers and a copy does
-    not. Each output half first holds the other half's second product.
+    halves of ``v`` and of the output are only copied (by slice assignment,
+    which skips ``np.copyto``'s Python dispatch), since a ufunc over strided
+    or broadcast operands allocates iterator buffers and a copy does not.
+    Each output half first holds the other half's second product.
     """
     half = v.shape[-1] // 2
     v1, v2 = v[..., :half], v[..., half:]
     out = np.empty(v.shape)
     o1, o2 = out[..., :half], out[..., half:]
     t = np.empty(v1.shape)
-    np.copyto(t, v1)
+    t[...] = v1
     t *= sin
-    np.copyto(o1, t)
-    np.copyto(t, v2)
+    o1[...] = t
+    t[...] = v2
     t *= cos
     t += o1
-    np.copyto(o2, t)
-    np.copyto(t, v2)
+    o2[...] = t
+    t[...] = v2
     t *= sin
-    np.copyto(o1, t)
-    np.copyto(t, v1)
+    o1[...] = t
+    t[...] = v1
     t *= cos
     t -= o1
-    np.copyto(o1, t)
+    o1[...] = t
     return out
 
 
@@ -511,11 +587,12 @@ def _softmax_in_place(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     if allowed.all():
         # with every key visible the general path's masking is a no-op, so
         # for finite row maxima this is the same arithmetic, bit for bit
-        m = np.max(x, axis=-1, keepdims=True)
+        # the reductions np.max and np.sum run, without their wrappers
+        m = np.maximum.reduce(x, axis=-1, keepdims=True)
         if np.isfinite(m).all():
             x -= m
             np.exp(x, out=x)
-            x /= np.sum(x, axis=-1, keepdims=True)
+            x /= np.add.reduce(x, axis=-1, keepdims=True)
             return x
     # masked entries hold -inf for the row maximum, then +0.0, which is what
     # exp(-inf) gives; exp itself runs only over allowed entries, since its
@@ -557,31 +634,43 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
         raise ShapeError(
             f"allowed mask shape {mask.shape} does not match (batch, sq, sk)=({b}, {sq}, {sk})"
         )
-    inv_scale = 1.0 / math.sqrt(hd)
-    probs = np.matmul(q.data, k.data.swapaxes(-1, -2))
-    probs *= inv_scale
-    _softmax_in_place(probs, mask[:, None, :, :])
-    out = np.matmul(probs, v.data)
+    probs = _attention_probs(q.data, k.data, mask)
 
     def backward(g):
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = np.matmul(probs.swapaxes(-1, -2), g)
-        if q.requires_grad or k.requires_grad:
-            # gs = probs * (gp - sum(gp * probs)), with gp = g @ v.T, in two buffers
-            gs = np.matmul(g, v.data.swapaxes(-1, -2))
-            inner = np.sum(gs * probs, axis=-1, keepdims=True)
-            gs -= inner
-            gs *= probs
-            if q.requires_grad:
-                gq = np.matmul(gs, k.data)
-                gq *= inv_scale
-            if k.requires_grad:
-                gk = np.matmul(gs.swapaxes(-1, -2), q.data)
-                gk *= inv_scale
-        return gq, gk, gv
+        return _attend_backward(
+            g, q.data, k.data, v.data, probs, q.requires_grad, k.requires_grad, v.requires_grad
+        )
 
-    return _make(out, (q, k, v), backward)
+    return _make(np.matmul(probs, v.data), (q, k, v), backward)
+
+
+def _attention_probs(q, k, allowed):
+    """Masked softmax of ``q @ k.T / sqrt(head_dim)`` over (b, h, sq, sk)
+    scores; ``allowed`` is the (b, sq, sk) key mask."""
+    probs = np.matmul(q, k.swapaxes(-1, -2))
+    probs *= 1.0 / math.sqrt(q.shape[-1])
+    return _softmax_in_place(probs, allowed[:, None, :, :])
+
+
+def _attend_backward(g, q, k, v, probs, need_q, need_k, need_v):
+    """Gradients ``(gq, gk, gv)`` of ``probs @ v``, each None unless needed."""
+    gq = gk = gv = None
+    if need_v:
+        gv = np.matmul(probs.swapaxes(-1, -2), g)
+    if need_q or need_k:
+        inv_scale = 1.0 / math.sqrt(q.shape[-1])
+        # gs = probs * (gp - sum(gp * probs)), with gp = g @ v.T, in two buffers
+        gs = np.matmul(g, v.swapaxes(-1, -2))
+        inner = np.sum(gs * probs, axis=-1, keepdims=True)
+        gs -= inner
+        gs *= probs
+        if need_q:
+            gq = np.matmul(gs, k)
+            gq *= inv_scale
+        if need_k:
+            gk = np.matmul(gs.swapaxes(-1, -2), q)
+            gk *= inv_scale
+    return gq, gk, gv
 
 
 def causal_mask(
@@ -634,6 +723,146 @@ def causal_attention(
     qr = apply_rope(q, positions, base)
     kr = apply_rope(k, positions, base)
     return attend(qr, kr, v, allowed)
+
+
+# ---------------------------------------------------------------------------
+# block sublayers
+
+
+def attention_sublayer(
+    x: Tensor,
+    norm: Tensor,
+    projections: Sequence[tuple[Tensor, Tensor | None, Tensor | None]],
+    scaling: float,
+    num_heads: int,
+    allowed: np.ndarray,
+    rope: tuple[np.ndarray, np.ndarray],
+    eps: float = 1e-5,
+    cache=None,
+) -> Tensor:
+    """Pre-norm rotary attention and its residual add as one tape node.
+
+    With ``n = rms_norm(x, norm, eps)`` this is ``x + out(attend(rope(query(n)),
+    rope(key(n)), value(n), allowed))``. ``projections`` holds the
+    ``(weight, lora_a, lora_b)`` Tensors of query, key, value and out: each
+    is an ``adapted_linear`` at ``scaling``, or a ``linear`` when both
+    adapters are None. ``allowed`` is the (batch, queries, keys) mask and
+    ``rope`` the ``rope_angles`` tables at the pass's positions. A ``cache``
+    (anything with ``append(k, v) -> (k_all, v_all)``) takes the rotated keys
+    and the values, and attention reads the whole history it returns. The
+    history is not on the tape, so with a cache the key and value
+    projections are not parents.
+    """
+    xd = x.data
+    if xd.ndim != 3 or norm.data.shape != (xd.shape[-1],):
+        raise ShapeError(f"attention input {xd.shape} does not match norm {norm.data.shape}")
+    cos, sin = rope
+    xn, r = _rms_norm(xd, norm.data, eps)
+    q_proj, hq = _project(xn, *projections[0], scaling)
+    k_proj, hk = _project(xn, *projections[1], scaling)
+    v_proj, hv = _project(xn, *projections[2], scaling)
+    q = _rotate(_split_heads(q_proj, num_heads), cos, sin)
+    k = _rotate(_split_heads(k_proj, num_heads), cos, sin)
+    v = _split_heads(v_proj, num_heads)
+    if cache is not None:
+        k, v = cache.append(k, v)
+    probs = _attention_probs(q, k, allowed)
+    ctx = _merge_heads(np.matmul(probs, v))
+    out, ho = _project(ctx, *projections[3], scaling)
+    out += xd
+    taped = [(projections[0], hq, True)]
+    if cache is None:
+        taped += [(projections[1], hk, True), (projections[2], hv, False)]
+
+    def backward(g):
+        need_xn = x.requires_grad or norm.requires_grad
+        # q, k and v take a gradient if n or one of their projection's
+        # Tensors does, and k and v only when they are on the tape
+        need = [need_xn or any(t is not None and t.requires_grad for t in p) for p, _, _ in taped]
+        need += [False] * (3 - len(need))
+
+        def project_back(total, gp, inp, proj, h, need_inp):
+            # the input's low-rank part, then its base part, added to total
+            g_lora, g_base, grads = _projection_backward(gp, inp, proj, h, scaling, need_inp)
+            return _sum_in_order((total, g_lora, g_base)), grads
+
+        gctx, out_grads = project_back(None, g, ctx, projections[3], ho, any(need))
+        heads = [None] * 3
+        if gctx is not None:
+            heads = [*_attend_backward(_split_heads(gctx, num_heads), q, k, v, probs, *need)]
+            del gctx  # each gradient buffer goes once it is used
+        # the tape's walk reaches the value's projection first, then the
+        # key's, then the query's, and n's gradient sums in that order
+        gxn, proj_grads = None, []
+        for i in reversed(range(len(taped))):
+            (proj, h, rotated), gh = taped[i], heads.pop(i)
+            if gh is not None:
+                # rope's backward rotates back, split_heads' merges the heads
+                gh = _merge_heads(_rotate(gh, cos, -sin) if rotated else gh)
+            gxn, grads = project_back(gxn, gh, xn, proj, h, need_xn)
+            proj_grads[:0] = grads
+        gx = gnorm = None
+        if need_xn:
+            gx, gnorm = _rms_norm_backward(gxn, xd, norm.data, r, x.requires_grad, norm.requires_grad)
+        return (g if x.requires_grad else None, gx, gnorm, *proj_grads, *out_grads)
+
+    weights = [t for p, _, _ in taped for t in p if t is not None]
+    weights += [t for t in projections[3] if t is not None]
+    return _make(out, (x, x, norm, *weights), backward)
+
+
+def mlp_sublayer(
+    h: Tensor, norm: Tensor, gate: Tensor, up: Tensor, down: Tensor, eps: float = 1e-5
+) -> Tensor:
+    """Pre-norm SiLU-gated MLP and its residual add as one tape node.
+
+    With ``n = rms_norm(h, norm, eps)`` this is
+    ``h + linear(silu(linear(n, gate)) * linear(n, up), down)``.
+    """
+    hd = h.data
+    if hd.ndim != 3 or norm.data.shape != (hd.shape[-1],):
+        raise ShapeError(f"mlp input {hd.shape} does not match norm {norm.data.shape}")
+    hn, r = _rms_norm(hd, norm.data, eps)
+    pre, _ = _project(hn, gate)
+    lin, _ = _project(hn, up)
+    act, sig = _silu(pre)
+    prod = act * lin
+    out, _ = _project(prod, down)
+    out += hd
+
+    def backward(g):
+        need_hn = h.requires_grad or norm.requires_grad
+        need_gate = need_hn or gate.requires_grad
+        need_up = need_hn or up.requires_grad
+        gprod, gdown = _linear_backward(g, prod, down.data, need_gate or need_up, down.requires_grad)
+        gpre = _silu_backward(gprod * lin, pre, sig) if need_gate else None
+        glin = gprod * act if need_up else None
+        # the tape's walk reaches up's projection before gate's
+        ghn_up, gup = _linear_backward(glin, hn, up.data, need_hn, up.requires_grad)
+        ghn_gate, ggate = _linear_backward(gpre, hn, gate.data, need_hn, gate.requires_grad)
+        gh = gnorm = None
+        if need_hn:
+            gh, gnorm = _rms_norm_backward(
+                _sum_in_order((ghn_up, ghn_gate)), hd, norm.data, r, h.requires_grad,
+                norm.requires_grad,
+            )
+        return (g if h.requires_grad else None, gh, gnorm, ggate, gup, gdown)
+
+    return _make(out, (h, h, norm, gate, up, down), backward)
+
+
+def _sum_in_order(parts):
+    """Left-to-right sum of the parts that are not None, the grouping in
+    which ``Tensor.backward`` accumulates a gradient from several nodes.
+    The first part, a buffer the caller owns, holds the sum."""
+    total = None
+    for part in parts:
+        if part is not None:
+            if total is None:
+                total = part
+            else:
+                total += part
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,19 @@ from fedsplit.tensor import (
     add,
     apply_rope,
     attend,
+    attention_sublayer,
     causal_attention,
     causal_mask,
     embedding,
     linear,
     matmul,
     merge_heads,
+    mlp_sublayer,
     mul,
     no_grad,
     reshape,
     rms_norm,
+    rope_angles,
     scale,
     silu,
     softmax_cross_entropy,
@@ -271,6 +274,22 @@ def _op_instance(name, rng):
             [rng.standard_normal((1, 2, 3, 4)) for _ in range(3)],
             (1, 2, 3, 4),
         )
+    if name == "attention_sublayer":
+        # two rows, one left-padded; x, the norm gain, then (weight, lora_a,
+        # lora_b) for query, key, value and out
+        start = int(rng.integers(0, 4))
+        allowed = causal_mask(2, 3, pad_lens=(0, int(rng.integers(1, 3))))
+        tables = rope_angles(np.arange(start, start + 3), 2, 10000.0)
+        shapes = [(2, 3, 4), (4,)] + [(4, 4), (2, 4), (4, 2)] * 4
+
+        def build(x, norm, *weights):
+            projections = [weights[i: i + 3] for i in range(0, 12, 3)]
+            return attention_sublayer(x, norm, projections, 1.5, 2, allowed, tables)
+
+        return build, [rng.standard_normal(shape) for shape in shapes], (2, 3, 4)
+    if name == "mlp_sublayer":
+        shapes = [(2, 3, 4), (4,), (5, 4), (5, 4), (4, 5)]
+        return mlp_sublayer, [rng.standard_normal(shape) for shape in shapes], (2, 3, 4)
     if name == "softmax_cross_entropy":
         targets = rng.integers(0, 6, size=4)
         targets[0] = -1
@@ -298,6 +317,8 @@ _OPS = (
     "attend",
     "causal_attention",
     "softmax_cross_entropy",
+    "attention_sublayer",
+    "mlp_sublayer",
 )
 
 

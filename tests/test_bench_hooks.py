@@ -68,6 +68,13 @@ def test_tracer_installs_every_hook_and_restores_every_original():
     assert moved == [], f"tracer left patched attributes: {moved}"
 
 
+def test_every_traced_tensor_op_is_still_in_the_package():
+    """The tracer patches each ``TENSOR_OPS`` name by ``getattr``, so an op
+    that blocks stopped calling must stay until the benchmark's list drops it."""
+    for op in load_perfbench("tracer").TENSOR_OPS:
+        assert callable(getattr(tensor, op, None)), op
+
+
 def test_bench_stages_import_against_the_current_package():
     """The benchmark stages import fedsplit by name; a removed or renamed name
     must fail here rather than only when the benchmark runs."""

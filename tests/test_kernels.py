@@ -5,7 +5,8 @@ at most one or two full-size temporaries alive. Each is pinned here, forward
 and every gradient over every frozen/trainable subset of its parents, against
 an inline copy of the plain formula it replaced: a rewrite may change how many
 buffers a kernel touches, never its bits. ``adapted_linear`` is pinned against
-the five-node graph it fuses.
+the five-node graph it fuses, and the two block sublayers against the op
+graphs they fuse, which live only here.
 """
 
 import math
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 from fedsplit import model as model_mod
+from fedsplit import tensor as tensor_mod
+from fedsplit.inference import KVCache
 from fedsplit.model import LoraConfig, ModelConfig, SegmentModel, init_parameter_set
 from fedsplit.tensor import (
     Tensor,
@@ -24,10 +27,14 @@ from fedsplit.tensor import (
     add,
     apply_rope,
     attend,
+    attention_sublayer,
     causal_mask,
     linear,
     masked_softmax,
+    merge_heads,
+    mlp_sublayer,
     mul,
+    no_grad,
     rms_norm,
     rope_angles,
     scale,
@@ -125,6 +132,41 @@ def ref_cross_entropy(logits, tgt, ignore_index=-1):
 
 def composed_adapted_linear(x, w, a, b, scaling):
     return add(linear(x, w), scale(linear(linear(x, a), b), scaling))
+
+
+def composed_attention(x, norm, projections, scaling, num_heads, allowed, rope, eps, cache=None):
+    """The attention sublayer as the op graph a block ran before it was one node."""
+
+    def project(t, w, a, b):
+        return linear(t, w) if a is None else adapted_linear(t, w, a, b, scaling)
+
+    xn = rms_norm(x, norm, eps)
+    q = split_heads(project(xn, *projections[0]), num_heads)
+    k = split_heads(project(xn, *projections[1]), num_heads)
+    v = split_heads(project(xn, *projections[2]), num_heads)
+    qr = apply_rope(q, None, tables=rope)
+    kr = apply_rope(k, None, tables=rope)
+    if cache is None:
+        ctx = attend(qr, kr, v, allowed)
+    else:
+        k_all, v_all = cache.append(kr.data, v.data)
+        ctx = attend(qr, Tensor(k_all), Tensor(v_all), allowed)
+    return add(x, project(merge_heads(ctx), *projections[3]))
+
+
+def composed_mlp(h, norm, gate, up, down, eps):
+    """The MLP sublayer as the op graph a block ran before it was one node."""
+    hn = rms_norm(h, norm, eps)
+    gated = mul(silu(linear(hn, gate)), linear(hn, up))
+    return add(h, linear(gated, down))
+
+
+def composed_block_forward(block, x, allowed, rope, cache=None):
+    cfg = block.config
+    h = composed_attention(
+        x, block.attn_norm, block.attn, block.scaling, cfg.num_heads, allowed, rope, cfg.rms_eps, cache
+    )
+    return composed_mlp(h, block.mlp_norm, block.gate, block.up, block.down, cfg.rms_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +409,9 @@ def test_adapted_linear_grads_match_finite_differences():
 
 @pytest.mark.parametrize("trainable_base", [False, True])
 def test_model_step_is_bitwise_the_composed_projection(monkeypatch, trainable_base):
+    """A training step through the two sublayer nodes per block equals, loss
+    and every gradient bit for bit, the step through the op graph they fuse,
+    swapped in for ``Block.forward``."""
     cfg = ModelConfig(vocab_size=32, hidden_size=16, num_heads=2, num_blocks=2, mlp_hidden=24)
     lora = LoraConfig(rank=4, alpha=8.0)
     params = init_parameter_set(cfg, lora, seed=15)
@@ -379,20 +424,134 @@ def test_model_step_is_bitwise_the_composed_projection(monkeypatch, trainable_ba
 
     def step():
         model = SegmentModel("full", cfg, lora, params, 0, cfg.num_blocks, trainable_base)
+        built = next(tensor_mod._creation_counter)
         loss, _ = local_loss_step(model, ids, targets, pad_lens=[0, 2, 4])
-        return loss, model.collect_grads()
+        return loss, model.collect_grads(), next(tensor_mod._creation_counter) - built
 
-    fused_loss, fused_grads = step()
-    monkeypatch.setattr(
-        model_mod.AdaptedLinear,
-        "__call__",
-        lambda self, x: composed_adapted_linear(x, self.weight, self.lora_a, self.lora_b, self.scaling),
-    )
-    loss, grads = step()
+    fused_loss, fused_grads, fused_nodes = step()
+    monkeypatch.setattr(model_mod.Block, "forward", composed_block_forward)
+    loss, grads, nodes = step()
+    # the swap took: the op graph builds 18 more nodes per block
+    assert nodes == fused_nodes + 18 * cfg.num_blocks
     assert fused_loss == loss
     assert list(fused_grads) == list(grads)
     for name in grads:
         assert_bits(fused_grads[name], grads[name])
+
+
+# ---------------------------------------------------------------------------
+# the fused block sublayers
+
+HEADS = 2
+
+
+def attention_arrays(seed, lora, batch=2, seq=3, dim=8, rank=2):
+    """x, the norm gain, then each projection's weight (and adapters)."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal((batch, seq, dim)) * 2.0, rng.standard_normal(dim)]
+    for _ in range(4):
+        arrays.append(rng.standard_normal((dim, dim)) / np.sqrt(dim))
+        if lora:
+            arrays += [rng.standard_normal((rank, dim)), rng.standard_normal((dim, rank)) * 0.5]
+    return arrays
+
+
+def history(seed, batch, past, dim):
+    """A cache entry holding ``past`` positions of rotated keys and values."""
+    entry = KVCache(1).entries_for(1)[0]
+    if past:
+        rng = np.random.default_rng(seed)
+        shape = (batch, HEADS, past, dim // HEADS)
+        entry.append(rng.standard_normal(shape), rng.standard_normal(shape))
+    return entry
+
+
+def attention_builds(arrays, lora, past):
+    """(fused, composed, parent indices): each build takes one Tensor per
+    array and runs the sublayer over a fresh copy of the cache, if any; with
+    a cache the key and value projections are constants, not parents."""
+    batch, seq, dim = arrays[0].shape
+    per = 3 if lora else 1
+    cached = past is not None
+    past = past or 0
+    allowed = causal_mask(batch, past + seq, [0, 2], positions=list(range(past, past + seq)))
+    rope = rope_angles(np.arange(past, past + seq), dim // HEADS, 10000.0)
+
+    def build(fn):
+        def run(ts):
+            weights = ts[2:]
+            projections = [tuple(weights[per * i: per * i + per]) + (None,) * (3 - per) for i in range(4)]
+            cache = history(18, batch, past, dim) if cached else None
+            return fn(ts[0], ts[1], projections, 1.5, HEADS, allowed, rope, 1e-5, cache)
+        return run
+
+    parents = list(range(len(arrays)))
+    if cached:
+        parents = [i for i in parents if not 2 + per <= i < 2 + 3 * per]
+    return build(attention_sublayer), build(composed_attention), parents
+
+
+def check_against_composed(fused, composed, arrays, parents, g):
+    """Forward and every gradient of ``fused`` equal the composed graph's
+    bitwise under every frozen/trainable subset of the parents; Tensors that
+    are not parents keep ``requires_grad`` and get no gradient."""
+    ref = [Tensor(a, requires_grad=True) for a in arrays]
+    want = composed(ref)
+    want.backward(g)
+    assert all((t.grad is None) == (i not in parents) for i, t in enumerate(ref))
+    for mask in range(2 ** len(parents)):
+        flags = {i: bool(mask >> n & 1) for n, i in enumerate(parents)}
+        ts = [Tensor(a, requires_grad=flags.get(i, True)) for i, a in enumerate(arrays)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fused(ts)
+            assert_bits(out.data, want.data)
+            if mask:
+                out.backward(g)
+        for t, r in zip(ts, ref):
+            if t.requires_grad and r.grad is not None:
+                assert_bits(t.grad, r.grad)
+            else:
+                assert t.grad is None
+
+
+@pytest.mark.parametrize("past", [None, 0, 2], ids=["no_cache", "empty_cache", "cache"])
+@pytest.mark.parametrize("lora", [True, False], ids=["lora", "no_lora"])
+def test_attention_sublayer_is_bitwise_the_composed_graph(lora, past):
+    arrays = attention_arrays(19, lora)
+    arrays[0][0, 0, : EDGES.size // 2] = EDGES[::2]
+    fused, composed, parents = attention_builds(arrays, lora, past)
+    g = np.random.default_rng(20).standard_normal(arrays[0].shape)
+    check_against_composed(fused, composed, arrays, parents, g)
+
+
+def test_mlp_sublayer_is_bitwise_the_composed_graph():
+    rng = np.random.default_rng(21)
+    arrays = [rng.standard_normal((2, 3, 8)) * 3.0, rng.standard_normal(8),
+              *(rng.standard_normal(shape) for shape in ((12, 8), (12, 8), (8, 12)))]
+    arrays[0][0, 0, : EDGES.size // 2] = EDGES[::2]
+    arrays[0][-1, -1] = 0.0  # an all-zero row divides by sqrt(eps)
+    g = rng.standard_normal(arrays[0].shape)
+
+    def build(fn):
+        return lambda ts: fn(*ts, 1e-5)
+
+    check_against_composed(build(mlp_sublayer), build(composed_mlp), arrays, range(5), g)
+
+
+def test_each_sublayer_is_one_node_with_its_input_listed_twice():
+    arrays = attention_arrays(22, lora=True)
+    fused, _, _ = attention_builds(arrays, lora=True, past=None)
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fused(ts)
+    assert out._parents == (ts[0], *ts)
+    mlp_ts = [Tensor(a, requires_grad=True) for a in (arrays[0], arrays[1], *[arrays[2]] * 3)]
+    assert mlp_sublayer(*mlp_ts)._parents == (mlp_ts[0], *mlp_ts)
+    built = next(tensor_mod._creation_counter)
+    with no_grad():
+        fused(ts)
+        mlp_sublayer(*mlp_ts)
+    assert next(tensor_mod._creation_counter) - built == 3
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +572,8 @@ def peak_ratio(fn, nbytes):
 
 def _kernel_runs():
     """(kernel, phase) -> (zero-argument call, reference size in bytes), at
-    federate shapes: SiLU (8,49,172), scores (8,4,49,49), norms (8,49,64),
-    logits (392,256)."""
+    federate shapes: SiLU (8,49,172), scores (8,4,49,49), norms and both
+    sublayers (8,49,64), logits (392,256)."""
     rng = np.random.default_rng(17)
     runs = {}
     x = rng.standard_normal((8, 49, 172))
@@ -442,7 +601,30 @@ def _kernel_runs():
     tgt = rng.integers(0, 256, 392)
     tgt[:40] = -1
     runs["softmax_cross_entropy", "fwd"] = (lambda: softmax_cross_entropy(logits, tgt), logits.data.nbytes)
+    for name, build in sublayer_graphs(rng, attention_sublayer, mlp_sublayer).items():
+        runs[name, "fwd"] = (build, h.data.nbytes)
+        runs[name, "bwd"] = (lambda node=build(): node._backward_fn(g.reshape(8, 49, 64)), h.data.nbytes)
     return runs
+
+
+def sublayer_graphs(rng, attention, mlp):
+    """name -> zero-argument build of both sublayers at federate shapes as
+    training runs them: the input and the adapters trainable, the base
+    weights frozen."""
+    x = Tensor(rng.standard_normal((8, 49, 64)), requires_grad=True)
+    attn_norm, mlp_norm = (Tensor(rng.standard_normal(64)) for _ in range(2))
+    projections = [
+        (Tensor(rng.standard_normal((64, 64))), Tensor(rng.standard_normal((8, 64)), requires_grad=True),
+         Tensor(rng.standard_normal((64, 8)), requires_grad=True))
+        for _ in range(4)
+    ]
+    mask = padded_mask(8, 49, 49)
+    tables = rope_angles(np.arange(49), 16, 10000.0)
+    gate, up, down = (Tensor(rng.standard_normal(shape)) for shape in ((172, 64), (172, 64), (64, 172)))
+    return {
+        "attention_sublayer": lambda: attention(x, attn_norm, projections, 2.0, 4, mask, tables, 1e-5),
+        "mlp_sublayer": lambda: mlp(x, mlp_norm, gate, up, down, 1e-5),
+    }
 
 
 # (budget, peak before the rewrite), as multiples of the reference size. A
@@ -458,6 +640,14 @@ TEMPORARIES_BUDGET = {
     ("apply_rope", "fwd"): (2.0, 2.1),
     ("apply_rope", "bwd"): (2.0, 2.1),
     ("softmax_cross_entropy", "fwd"): (1.5, 5.0),
+    # a sublayer's budget is its peak rounded up; "before" is the peak of the
+    # op graph it fuses (``composed_attention``/``composed_mlp`` built the
+    # same way; for bwd, its whole ``Tensor.backward``), so fusing a block
+    # never holds more than the graph did
+    ("attention_sublayer", "fwd"): (13.0, 13.62),
+    ("attention_sublayer", "bwd"): (9.0, 14.54),
+    ("mlp_sublayer", "fwd"): (16.0, 16.47),
+    ("mlp_sublayer", "bwd"): (13.0, 15.12),
 }
 
 

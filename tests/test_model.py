@@ -18,7 +18,11 @@ from fedsplit.model import (
     grad_norm,
     init_parameter_set,
 )
+from fedsplit import tensor
+from fedsplit.corpus import BatchSampler, make_copy_corpus
+from fedsplit.inference import InferenceStack
 from fedsplit.tensor import no_grad, reshape, softmax_cross_entropy
+from fedsplit.training import SequentialTrainer, connect_pair
 
 CFG = ModelConfig(vocab_size=32, hidden_size=16, num_heads=2, num_blocks=6, mlp_hidden=24)
 
@@ -361,11 +365,9 @@ def test_blocks_hold_the_tables_tensors(role, lora):
         for attr, name in (("attn_norm", "attn_norm"), ("mlp_norm", "mlp_norm"),
                            ("gate", "mlp.gate"), ("up", "mlp.up"), ("down", "mlp.down")):
             assert getattr(block, attr) is table[f"{prefix}.{name}.weight"]
-        for target in ("query", "key", "value", "out"):
-            layer = getattr(block, target)
-            assert layer.weight is table[f"{prefix}.attn.{target}.weight"]
-            for leaf in ("lora_a", "lora_b"):
-                assert getattr(layer, leaf) is table.get(f"{prefix}.attn.{target}.{leaf}")
+        for target, layer in zip(("query", "key", "value", "out"), block.attn, strict=True):
+            for tensor, leaf in zip(layer, ("weight", "lora_a", "lora_b"), strict=True):
+                assert tensor is table.get(f"{prefix}.attn.{target}.{leaf}")
     if role != "front":
         assert seg.final_norm is table.get("final_norm.weight")
         assert seg.head is table.get("head.weight")
@@ -394,6 +396,38 @@ def test_requires_grad_per_name(lora, trainable_base):
                 assert p.requires_grad, name
             else:
                 assert p.requires_grad == trainable_base, name
+
+
+# ---------------------------------------------------------------------------
+# tape size: each block is two nodes, so a step builds few Tensors
+
+
+def tensors_built(step) -> int:
+    """Tensors constructed, in any thread, while ``step()`` runs."""
+    start = next(tensor._creation_counter)
+    step()
+    return next(tensor._creation_counter) - start - 1
+
+
+def test_split_decode_and_train_round_build_few_tensors():
+    cfg = ModelConfig()
+    segments = build_partitioned(cfg, PartitionSpec(2, 2, 2), seed=0)
+    with InferenceStack(*segments) as stack:
+        token = int(np.argmax(stack.session.prefill([1, 2, 3, 4, 5])))
+        counts = []
+        for _ in range(4):
+            counts.append(tensors_built(lambda: stack.session.decode_step(token)))
+            token += 1
+    # per side and block, one Tensor per sublayer (137 with a node per op)
+    assert counts == [counts[0]] * 4 and counts[0] <= 25, counts
+
+    client, server, channel = connect_pair(*segments, client_id=0, lr=0.1)
+    corpus = make_copy_corpus(8, payload_len=4, vocab_size=cfg.vocab_size, seed=0)
+    sampler = BatchSampler(corpus, 4, seed=1)
+    with SequentialTrainer([client], server, [channel]) as trainer:
+        rounds = [tensors_built(lambda r=r: trainer.run_round([sampler.batch_for(r)], r))
+                  for r in range(2)]
+    assert rounds == [rounds[0]] * 2 and rounds[0] <= 19, rounds  # 127 with a node per op
 
 
 # ---------------------------------------------------------------------------
