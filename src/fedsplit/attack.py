@@ -164,10 +164,10 @@ def train_decoder(
     return losses
 
 
-def reconstruct_tokens(decoder: SegmentModel, hidden: np.ndarray, pads=0) -> np.ndarray:
-    """Greedy per-position inversion of a hidden-state batch."""
+def reconstruct_tokens(decoder: SegmentModel, hidden: np.ndarray) -> np.ndarray:
+    """Greedy per-position inversion of an unpadded hidden-state batch."""
     with T.no_grad():
-        logits = decoder.forward(normalize_hidden(hidden), pad_lens=pads)
+        logits = decoder.forward(normalize_hidden(hidden))
     return np.argmax(logits.data, axis=-1)
 
 
@@ -283,6 +283,8 @@ def run_attack(
     federation is over, the r-th hidden-state message pairs with round r's
     disclosed batch, and ``train_decoder`` fits the decoder to those pairs.
     The report's ``noise_scale`` is the forward noise on the hidden states.
+    With ``record_frames`` its ``frame_log`` holds every frame the server
+    ends received and sent.
     """
     if len(corpora) < 2:
         raise ConfigError(
@@ -291,12 +293,12 @@ def run_attack(
     front, middle, back = build_split_for_depth(config, attacker.depth, lora, seed)
     malicious_id, honest_id = 0, 1
 
-    clients, server_channels = build_clients(
-        front, back, len(corpora), lr, noise, record_frames=record_frames
-    )
+    clients, server_channels = build_clients(front, back, len(corpora), lr, noise)
+    for channel in server_channels if record_frames else ():
+        channel.sent_log, channel.recv_log = [], []
     captured = server_channels[malicious_id]
     if attack_enabled:
-        captured.recv_log = []  # nothing has crossed yet, so this drops no frame
+        captured.recv_log = []  # nothing has crossed yet, so no log misses a frame
     samplers = client_samplers(corpora, batch_size, seed)
 
     with SequentialTrainer(clients, TrainingServer(middle, lr), server_channels) as trainer:

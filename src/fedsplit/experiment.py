@@ -353,33 +353,6 @@ def build_corpus(section: CorpusSection, model: ModelConfig) -> ToyCorpus:
     return corpus
 
 
-class RecordWriter:
-    """Appends one validated JSON line per record, flushed immediately.
-
-    Flushing per line is what makes an interrupt lose at most the step in
-    flight rather than the whole file.
-    """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self._fh = open(self.path, "w", encoding="utf-8")
-
-    def write(self, rec) -> None:
-        doc = rec.to_json()
-        validate_artifact(doc, "train_record.schema.json")
-        self._fh.write(_canonical(doc) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 def write_report(path, kind: str, seed: int, payload: dict) -> dict:
     """Wrap a payload in the report envelope, validate it, and write it."""
     envelope = {
@@ -460,9 +433,18 @@ def run_train(cfg: ExperimentConfig, output_dir=None):
     trunk), and ``train_summary.json`` the round-level loss digest.
     """
     out = _prepare_output_dir(cfg, output_dir)
-    with RecordWriter(out / "records.jsonl") as writer:
+    with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
+
+        def write(rec) -> None:
+            # one validated line per record, flushed at once, so an interrupt
+            # loses at most the step in flight
+            doc = rec.to_json()
+            validate_artifact(doc, "train_record.schema.json")
+            fh.write(_canonical(doc) + "\n")
+            fh.flush()
+
         records, merge_log, stats, segments = _run_training(
-            cfg, cfg.partition, cfg.training.steps, sink=writer.write
+            cfg, cfg.partition, cfg.training.steps, sink=write
         )
     validate_artifact(stats, "comm_stats.schema.json")
     (out / "comm_stats.json").write_text(_canonical(stats) + "\n", encoding="utf-8")

@@ -353,14 +353,13 @@ class InferenceStack:
         transport: str = "loopback",
         use_cache: bool = True,
         server: InferenceServer | None = None,
-        record_frames: bool = False,
     ):
         if server is not None:
             middle = server.middle
         if middle is None:
             raise ConfigError("either a trunk segment or a server is required")
         self.server = InferenceServer(middle)
-        self.server_channel, client_channel = channel_pair(transport, record_frames)
+        self.server_channel, client_channel = channel_pair(transport)
         self.session = GenerationSession(front, back, client_channel, use_cache=use_cache)
         self._thread = threading.Thread(
             target=serve_channel, args=(self.server_channel, self.server.handle), daemon=True

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .corpus import PAD_ID
 from .errors import BarrierTimeoutError, ConfigError, ProtocolError
 from .model import (
     LoraConfig,
@@ -120,8 +121,8 @@ def collect_barrier(channels: dict[int, MessageChannel], timeout: float) -> list
 ClientBatchServer = TrainingServer
 
 
-def align_batches(batches: Sequence[Batch], pad_id: int = 0) -> list[Batch]:
-    """Left-pad every batch to the group's longest sequence length.
+def align_batches(batches: Sequence[Batch]) -> list[Batch]:
+    """Left-pad every batch with ``PAD_ID`` to the group's longest sequence length.
 
     Client-batch concatenation requires a uniform seq_len;
     ``ClientBatchTrainer.run_round`` applies this normalizer to each round's
@@ -140,7 +141,7 @@ def align_batches(batches: Sequence[Batch], pad_id: int = 0) -> list[Batch]:
             continue
         rows = b.tokens.shape[0]
         tokens = np.concatenate(
-            [np.full((rows, extra), pad_id, dtype=b.tokens.dtype), b.tokens], axis=1
+            [np.full((rows, extra), PAD_ID, dtype=b.tokens.dtype), b.tokens], axis=1
         )
         targets = np.concatenate(
             [np.full((rows, extra), IGNORE_INDEX, dtype=b.targets.dtype), b.targets], axis=1
@@ -154,7 +155,9 @@ class ClientBatchTrainer(Trainer):
 
     Client threads run the ordinary four-hop step; the coordinator gathers
     one message per client at each of the two barriers, runs the batched
-    trunk pass, and routes each slice back to its owner.
+    trunk pass, and routes each slice back to its owner. After the last
+    replies it waits for the client threads against one ``barrier_timeout``
+    deadline, and a client still in its step then is a barrier timeout.
     """
 
     strategy = "client_batch"
@@ -197,19 +200,24 @@ class ClientBatchTrainer(Trainer):
                     self.channels[reply.client_id].send(reply)
         except Exception:
             cause = failures[:1]  # a client's own error, not what the cleanup below causes
+            # closing wakes every thread blocked on its channel; one stalled
+            # elsewhere is abandoned, as the barrier already gave up on it
             for ch in self.channels.values():
                 ch.close()
-            for t in threads:
-                t.join(timeout=5.0)
             if cause:
                 raise cause[0] from None
             raise
+        deadline = time.monotonic() + self.barrier_timeout
         for t in threads:
-            t.join(timeout=self.barrier_timeout)
+            t.join(max(0.0, deadline - time.monotonic()))
         if failures:
             raise failures[0]
-        if any(rec is None for rec in results):
-            raise ProtocolError("a client thread finished without producing a record")
+        for client, rec in zip(self.clients, results):
+            if rec is None:
+                raise BarrierTimeoutError(
+                    f"client {client.client_id} did not finish its step "
+                    f"{self.barrier_timeout}s after the last reply"
+                )
         return [self._label(rec, self.server) for rec in results]
 
 
@@ -381,7 +389,6 @@ def build_clients(
     lr: float,
     noise: NoiseConfig | None = None,
     transport: str = "loopback",
-    record_frames: bool = False,
 ) -> tuple[list[TrainingClient], list[MessageChannel]]:
     """Clients with private copies of ``front`` and ``back``, one channel each.
 
@@ -392,7 +399,7 @@ def build_clients(
     clients = []
     server_channels = []
     for cid in range(num_clients):
-        server_channel, client_channel = channel_pair(transport, record_frames)
+        server_channel, client_channel = channel_pair(transport)
         client_noise = None if noise is None else replace(noise, seed=noise.seed + cid)
         clients.append(
             TrainingClient(cid, front.clone(), back.clone(), client_channel, lr, client_noise)
@@ -410,7 +417,6 @@ def build_shared_trunk_session(
     seed: int = 0,
     noise: NoiseConfig | None = None,
     transport: str = "loopback",
-    record_frames: bool = False,
 ) -> tuple[list[TrainingClient], SegmentModel, list[MessageChannel]]:
     """M clients with private front/back copies sharing one trunk instance.
 
@@ -419,9 +425,7 @@ def build_shared_trunk_session(
     modes; the caller wraps the returned trunk in a ``TrainingServer``.
     """
     front, middle, back = build_partitioned(config, partition, lora, seed)
-    clients, server_channels = build_clients(
-        front, back, num_clients, lr, noise, transport, record_frames
-    )
+    clients, server_channels = build_clients(front, back, num_clients, lr, noise, transport)
     return clients, middle, server_channels
 
 

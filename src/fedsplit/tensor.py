@@ -19,10 +19,9 @@ Grad mode is per thread: ``no_grad()`` in one thread leaves tape recording on
 in every other thread.
 
 Only the operators needed by the model family live here: dense matmul/linear,
-the fused LoRA projection, RMSNorm, SiLU, rotary-embedded masked attention,
-embedding lookup, a fused softmax cross-entropy loss, and the two block
-sublayers. All backwards are hand-derived; finite-difference tests pin them
-independently.
+RMSNorm, SiLU, rotary-embedded masked attention, embedding lookup, a fused
+softmax cross-entropy loss, and the two block sublayers. All backwards are
+hand-derived; finite-difference tests pin them independently.
 
 Kernels and ops. Each formula lives once, in a kernel: a plain function over
 arrays (``_project``, ``_rms_norm``, ``_silu``, ``_rotate``,
@@ -52,23 +51,20 @@ formulas and pins the bits and the peak temporaries). Slow paths avoided:
   copy does not, so the rotary kernel does its arithmetic on one contiguous
   half-size buffer and only copies strided halves.
 
-``adapted_linear`` is ``linear(x, w) + scale(linear(linear(x, a), b), c)``
-as one tape node instead of five. Its backward lists ``x`` twice among the
-parents and returns ``(gx_lora, gx_base, gw, ga, gb)``, so ``x`` receives its
-low-rank part before its base part: the order in which the composed graph's
-reverse walk adds them, and with it the same bits.
-
 ``attention_sublayer`` and ``mlp_sublayer`` make a block two tape nodes
-instead of twenty, so a cached decode step builds two Tensors per block and
-a pass makes far fewer Python calls. Floating-point addition is not
-associative, so each backward sums a gradient that several ops of the
-composed graph fed in the order that graph's reverse ``_id`` walk summed it:
-the attention norm's output gets the value projection's low-rank part, then
-its base part, then the key's two parts, then the query's; the MLP norm's
-output gets up's part before gate's; and the block input, listed twice among
-the parents, gets the residual's gradient before the norm's. Frozen parents
-get None. Both sublayers are pinned bitwise against the composed graphs in
-``tests/test_kernels.py``.
+instead of the thirty-six of the op graph they replace (LoRA on), so a cached
+decode step builds two Tensors per block and a pass makes far fewer Python
+calls. Floating-point addition is not associative, so each backward sums a
+gradient that several ops of the composed graph fed in the order that
+graph's reverse ``_id`` walk summed it. A LoRA projection
+``linear(x, w) + scale(linear(linear(x, a), b), c)`` hands its input the
+low-rank part before the base part (``_projection_backward`` returns them in
+that order), so the attention norm's output gets the value projection's
+low-rank part, then its base part, then the key's two parts, then the
+query's; the MLP norm's output gets up's part before gate's; and the block
+input, listed twice among the parents, gets the residual's gradient before
+the norm's. Frozen parents get None. Both sublayers are pinned bitwise
+against the composed graphs in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -263,34 +259,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         return _linear_backward(g, x.data, w.data, x.requires_grad, w.requires_grad)
 
     return _make(_project(x.data, w)[0], (x, w), backward)
-
-
-def adapted_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, scaling: float) -> Tensor:
-    """LoRA projection ``x @ w.T + ((x @ a.T) @ b.T) * scaling`` as one tape node.
-
-    ``w`` is (out_dim, in_dim), ``a`` (rank, in_dim) and ``b`` (out_dim, rank).
-    Forward and every gradient equal, bit for bit, those of the composed
-    ``add(linear(x, w), scale(linear(linear(x, a), b), scaling))``. ``x`` is
-    listed twice among the parents so that ``Tensor.backward`` adds its
-    low-rank part before its base part, the order the composed graph's
-    reverse walk uses.
-    """
-    if w.data.ndim != 2 or a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("adapted_linear weights must be 2-D")
-    out_dim, in_dim = w.data.shape
-    rank = a.data.shape[0]
-    if x.data.shape[-1] != in_dim or a.data.shape[1] != in_dim or b.data.shape != (out_dim, rank):
-        raise ShapeError(
-            f"adapted_linear shapes do not chain: x {x.data.shape}, w {w.data.shape}, "
-            f"a {a.data.shape}, b {b.data.shape}"
-        )
-    out, h = _project(x.data, w, a, b, scaling)
-
-    def backward(g):
-        gx_lora, gx_base, grads = _projection_backward(g, x.data, (w, a, b), h, scaling, x.requires_grad)
-        return (gx_lora, gx_base, *grads)
-
-    return _make(out, (x, x, w, a, b), backward)
 
 
 def _project(x, w, a=None, b=None, scaling=1.0):
@@ -573,17 +541,13 @@ def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 # masked attention
 
 
-def masked_softmax(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis restricted to ``allowed`` entries.
+def _softmax_in_place(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis restricted to ``allowed`` entries, written
+    over ``x``, which the caller owns.
 
     Rows with no allowed entry come back as all-zero rather than NaN; callers
     only produce such rows for padding positions whose outputs are discarded.
     """
-    return _softmax_in_place(np.array(scores, dtype=np.float64), allowed)
-
-
-def _softmax_in_place(x: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """``masked_softmax`` written over ``x``, which the caller owns."""
     if allowed.all():
         # with every key visible the general path's masking is a no-op, so
         # for finite row maxima this is the same arithmetic, bit for bit
@@ -745,7 +709,7 @@ def attention_sublayer(
     With ``n = rms_norm(x, norm, eps)`` this is ``x + out(attend(rope(query(n)),
     rope(key(n)), value(n), allowed))``. ``projections`` holds the
     ``(weight, lora_a, lora_b)`` Tensors of query, key, value and out: each
-    is an ``adapted_linear`` at ``scaling``, or a ``linear`` when both
+    is ``x @ w.T + ((x @ a.T) @ b.T) * scaling``, or ``x @ w.T`` when both
     adapters are None. ``allowed`` is the (batch, queries, keys) mask and
     ``rope`` the ``rope_angles`` tables at the pass's positions. A ``cache``
     (anything with ``append(k, v) -> (k_all, v_all)``) takes the rotated keys

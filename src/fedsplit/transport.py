@@ -199,17 +199,18 @@ def tcp_pair(host: str = "127.0.0.1", port: int = 0) -> tuple[TcpChannel, TcpCha
 class MessageChannel:
     """Encode/decode layer over a frame channel with traffic accounting.
 
-    ``stats`` accumulates per-class counters for this endpoint. With
-    ``record_frames`` the raw bytes of every frame sent and received are kept,
-    in order: audits compare them across transports and with the attack on or
-    off, and the attack study trains its decoder on the frames it captured.
+    ``stats`` accumulates per-class counters for this endpoint. Once a
+    caller sets ``sent_log`` or ``recv_log`` to a list, the raw bytes of every
+    frame sent or received from then on are appended to it, in order: audits
+    compare them across transports and with the attack on or off, and the
+    attack study trains its decoder on the frames it captured.
     """
 
-    def __init__(self, frames, record_frames: bool = False):
+    def __init__(self, frames):
         self._frames = frames
         self.stats = CommStats()
-        self.sent_log: list[bytes] | None = [] if record_frames else None
-        self.recv_log: list[bytes] | None = [] if record_frames else None
+        self.sent_log: list[bytes] | None = None
+        self.recv_log: list[bytes] | None = None
 
     def send(self, msg: Message) -> None:
         frame = encode_message(msg)
@@ -240,12 +241,11 @@ class MessageChannel:
         self._frames.close()
 
 
-def channel_pair(kind: str, record_frames: bool = False) -> tuple[MessageChannel, MessageChannel]:
+def channel_pair(kind: str) -> tuple[MessageChannel, MessageChannel]:
     """A connected (server-side, client-side) message channel pair.
 
     ``kind`` is ``"loopback"``, ``"tcp"`` (a kernel-chosen port on
-    127.0.0.1) or ``"tcp:HOST:PORT"``; ``record_frames`` keeps the raw frames
-    both ends send and receive.
+    127.0.0.1) or ``"tcp:HOST:PORT"``.
     """
     if kind == "loopback":
         server_end, client_end = LoopbackChannel.pair()
@@ -255,10 +255,7 @@ def channel_pair(kind: str, record_frames: bool = False) -> tuple[MessageChannel
         server_end, client_end = tcp_pair(*parse_endpoint(kind[4:], f"unknown transport {kind!r}:"))
     else:
         raise ConfigError(f"unknown transport {kind!r}")
-    return (
-        MessageChannel(server_end, record_frames=record_frames),
-        MessageChannel(client_end, record_frames=record_frames),
-    )
+    return MessageChannel(server_end), MessageChannel(client_end)
 
 
 def serve_channel(channel: MessageChannel, handle: Callable[[Message], Message]) -> None:

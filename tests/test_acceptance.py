@@ -723,8 +723,8 @@ def test_criterion_11_transport_invariance(capsys):
                     back,
                     transport=transport,
                     use_cache=True,
-                    record_frames=True,
                 ) as stack:
+                    stack.session.channel.sent_log, stack.session.channel.recv_log = [], []
                     result = stack.session.generate(prompt, gen)
                     assert result.error is None
                     tokens.append(result.tokens)

@@ -1,5 +1,6 @@
 """Every module in the package uses every name it imports, every name it
-defines is used somewhere, and none rebinds a module-level name from inside a
+defines is used somewhere, every module-level function and class has a caller
+outside the tests, and none rebinds a module-level name from inside a
 function.
 
 No linter ships with the project, so deleted code can leave imports and
@@ -88,9 +89,18 @@ def references(tree: ast.AST) -> Counter:
     return seen
 
 
-def dead_definitions(defining: dict[str, str], referencing: list[str]) -> list[str]:
-    """Definitions in the ``defining`` sources (by label) that nothing in
-    ``defining`` or ``referencing`` names outside the definition itself."""
+def module_level(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Every function and class at module level."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.name, node) for node in tree.body if isinstance(node, kinds)]
+
+
+def dead_definitions(
+    defining: dict[str, str], referencing: list[str], listed=definitions
+) -> list[str]:
+    """Definitions (as ``listed`` finds them) in the ``defining`` sources (by
+    label) that nothing in ``defining`` or ``referencing`` names outside the
+    definition itself."""
     trees = {label: ast.parse(source) for label, source in defining.items()}
     seen = Counter()
     for tree in [*trees.values(), *map(ast.parse, referencing)]:
@@ -98,7 +108,7 @@ def dead_definitions(defining: dict[str, str], referencing: list[str]) -> list[s
     dead = [
         (label, node.lineno, name)
         for label, tree in trees.items()
-        for name, node in definitions(tree)
+        for name, node in listed(tree)
         if seen[name] <= references(node)[name]
     ]
     return [f"{label} line {line}: {name}" for label, line, name in sorted(dead)]
@@ -135,3 +145,48 @@ def test_package_has_no_dead_definition():
         if p.parent != PACKAGE or p.name == "__init__.py"
     ]
     assert dead_definitions(defining, referencing) == []
+
+
+# Module-level names only tests call, each kept because an acceptance
+# criterion checks the package against it.
+TEST_ONLY = {
+    "causal_attention": "03",  # the masked attention op under finite differences
+    "compress_mask": "07",  # a dense mask round-trips through its compact form
+    "noise_gradient_propagation_check": "08",  # gradient perturbation grows with noise
+}
+
+
+def test_guard_flags_test_only_api():
+    source = (
+        "def step():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def reference():\n    return step()\n\n"
+        "class Probe:\n    def unused(self):\n        return 2\n"
+    )
+    # ``caller`` stands for the benchmark; tests are not read, so
+    # ``reference`` and ``Probe`` are flagged, and the method ``unused`` is
+    # left to the dead-definition guard
+    caller = "from m import step\nstep()\n"
+    assert dead_definitions({"m": source}, [caller], listed=module_level) == [
+        "m line 7: reference",
+        "m line 10: Probe",
+    ]
+
+
+def test_package_has_no_test_only_api():
+    """Every module-level function and class is named by the package or by
+    ``perfbench``, except the ``TEST_ONLY`` names, which must still be
+    test-only and still named by the acceptance suite, so the list cannot go
+    stale."""
+    defining = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    referencing = [
+        p.read_text(encoding="utf-8")
+        for p in [PACKAGE / "__init__.py", *sorted((ROOT / "perfbench").rglob("*.py"))]
+    ]
+    flagged = dead_definitions(defining, referencing, listed=module_level)
+    names = {entry.rsplit(" ", 1)[1] for entry in flagged}
+    assert [entry for entry in flagged if entry.rsplit(" ", 1)[1] not in TEST_ONLY] == []
+    assert sorted(set(TEST_ONLY) - names) == []
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    named = references(ast.parse(acceptance))
+    assert [name for name in TEST_ONLY if not named[name]] == []

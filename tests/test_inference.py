@@ -36,9 +36,14 @@ CFG = ModelConfig(
 PART = PartitionSpec(1, 1, 1)
 
 
-def build_stack(seed=0, **kwargs):
+def build_stack(seed=0, record_frames=False, **kwargs):
+    """A stack over a fresh split model; with ``record_frames`` its client
+    channel keeps every frame it sends and receives."""
     front, middle, back = build_partitioned(CFG, PART, seed=seed)
-    return InferenceStack(front, middle, back, **kwargs)
+    stack = InferenceStack(front, middle, back, **kwargs)
+    if record_frames:
+        stack.session.channel.sent_log, stack.session.channel.recv_log = [], []
+    return stack
 
 
 def random_prompt(rng, length):

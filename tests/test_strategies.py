@@ -409,10 +409,45 @@ def test_client_batch_raises_a_client_error_without_waiting_for_the_barrier(kind
         trainer.shutdown()
 
 
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+@pytest.mark.parametrize("hop", ["forward", "backward"])
+def test_client_batch_names_a_client_stalled_in_its_step(kind, hop):
+    """A client stuck in its front forward (before the first barrier) or its
+    front backward (after the last reply) is a barrier timeout naming it,
+    within the timeout: nothing waits on the stalled thread."""
+    clients, middle, server_channels = build_shared_trunk_session(
+        CFG, PART, num_clients=2, lr=0.1, seed=2, transport=kind
+    )
+    timeout = 0.5
+    trainer = ClientBatchTrainer(
+        clients, ClientBatchServer(middle, lr=0.1), server_channels, barrier_timeout=timeout
+    )
+    batch = sampler_for().batch_for(0)
+    release = threading.Event()
+    segment = clients[1].front
+    run = getattr(segment, hop)
+
+    def stalled(*args, **kwargs):
+        release.wait(30.0)
+        return run(*args, **kwargs)
+
+    setattr(segment, hop, stalled)
+    start = time.monotonic()
+    try:
+        with pytest.raises(BarrierTimeoutError, match="client 1 "):
+            trainer.run_round([batch, batch], 0)
+        assert time.monotonic() - start < timeout + 1.0
+    finally:
+        release.set()
+        trainer.shutdown()
+
+
 def test_no_wire_frame_carries_raw_tokens():
     clients, middle, server_channels = build_shared_trunk_session(
-        CFG, PART, num_clients=2, lr=0.1, seed=3, record_frames=True
+        CFG, PART, num_clients=2, lr=0.1, seed=3
     )
+    for ch in server_channels:
+        ch.sent_log, ch.recv_log = [], []
     server = ClientBatchServer(middle, lr=0.1)
     sampler = sampler_for(seed=3)
     batches = {}

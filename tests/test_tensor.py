@@ -19,6 +19,7 @@ from fedsplit.model import ModelConfig, PartitionSpec, build_partitioned
 from fedsplit.tensor import (
     Tensor,
     _sigmoid,
+    _softmax_in_place,
     add,
     apply_rope,
     attend,
@@ -26,7 +27,6 @@ from fedsplit.tensor import (
     causal_mask,
     embedding,
     linear,
-    masked_softmax,
     matmul,
     merge_heads,
     mul,
@@ -312,7 +312,7 @@ def test_masked_softmax_rows_sum_to_one():
     rng = np.random.default_rng(10)
     scores = rng.standard_normal((3, 2, 4, 4)) * 5.0
     allowed = causal_mask(3, 4, [0, 1, 2])[:, None, :, :]
-    probs = masked_softmax(scores, allowed)
+    probs = _softmax_in_place(np.array(scores, dtype=np.float64), allowed)
     sums = probs.sum(axis=-1)
     live = allowed.any(axis=-1)
     assert np.all(np.abs(sums[np.broadcast_to(live, sums.shape)] - 1.0) < 1e-12)
@@ -334,7 +334,7 @@ def _masked_softmax_general(scores, allowed):
 def test_all_visible_softmax_is_bitwise_general_path(shape):
     scores = np.random.default_rng(15).standard_normal(shape) * 6.0
     allowed = np.ones(shape, dtype=bool)
-    fast = masked_softmax(scores, allowed)
+    fast = _softmax_in_place(np.array(scores, dtype=np.float64), allowed)
     assert fast.tobytes() == _masked_softmax_general(scores, allowed).tobytes()
 
 
@@ -345,7 +345,7 @@ def test_all_visible_softmax_with_nonfinite_scores_matches_general_path():
     scores[0, 1, 1, 0] = -np.inf
     allowed = np.ones(scores.shape, dtype=bool)
     with np.errstate(invalid="ignore"):
-        fast = masked_softmax(scores, allowed)
+        fast = _softmax_in_place(np.array(scores, dtype=np.float64), allowed)
         general = _masked_softmax_general(scores, allowed)
     assert fast.tobytes() == general.tobytes()
 
@@ -353,7 +353,7 @@ def test_all_visible_softmax_with_nonfinite_scores_matches_general_path():
 def test_fully_masked_rows_are_zero_not_nan():
     scores = np.zeros((1, 1, 2, 2))
     allowed = np.zeros((1, 1, 2, 2), dtype=bool)
-    probs = masked_softmax(scores, allowed)
+    probs = _softmax_in_place(np.array(scores, dtype=np.float64), allowed)
     assert np.all(probs == 0.0)
 
 

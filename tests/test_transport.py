@@ -69,10 +69,18 @@ def exchange(server_ch, client_ch, messages):
     return received
 
 
+def recording(frames):
+    """A message channel over ``frames`` that keeps every frame it sends and
+    receives."""
+    channel = MessageChannel(frames)
+    channel.sent_log, channel.recv_log = [], []
+    return channel
+
+
 def test_loopback_roundtrip():
     a, b = LoopbackChannel.pair()
-    server = MessageChannel(a, record_frames=True)
-    client = MessageChannel(b, record_frames=True)
+    server = recording(a)
+    client = recording(b)
     msgs = make_messages(6)
     echoes = exchange(server, client, msgs)
     for sent, got in zip(msgs, echoes):
@@ -85,13 +93,13 @@ def test_tcp_roundtrip_matches_loopback_frames():
     msgs = make_messages(6, seed=1)
 
     la, lb = LoopbackChannel.pair()
-    loop_server = MessageChannel(la, record_frames=True)
-    loop_client = MessageChannel(lb, record_frames=True)
+    loop_server = recording(la)
+    loop_client = recording(lb)
     exchange(loop_server, loop_client, msgs)
 
     sa, sb = tcp_pair()
-    tcp_server = MessageChannel(sa, record_frames=True)
-    tcp_client = MessageChannel(sb, record_frames=True)
+    tcp_server = recording(sa)
+    tcp_client = recording(sb)
     try:
         echoes = exchange(tcp_server, tcp_client, msgs)
     finally:
