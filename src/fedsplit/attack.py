@@ -241,6 +241,17 @@ def evaluate_reconstruction(
 # the full study
 
 
+def check_cut_depth(config: ModelConfig, depth: int) -> None:
+    """Raise ``ConfigError`` unless a cut after ``depth`` blocks leaves at
+    least one trunk block before the one-block back."""
+    if depth < 0:
+        raise ConfigError("cut depth cannot be negative")
+    if depth > config.num_blocks - 2:
+        raise ConfigError(
+            f"cut depth {depth} leaves no trunk in a {config.num_blocks}-block model"
+        )
+
+
 def build_split_for_depth(
     config: ModelConfig,
     depth: int,
@@ -249,12 +260,7 @@ def build_split_for_depth(
 ) -> tuple[SegmentModel, SegmentModel, SegmentModel]:
     """Front of ``depth`` blocks (possibly none: raw embeddings cross the cut),
     a trunk of everything up to the last block, and a one-block back."""
-    if depth < 0:
-        raise ConfigError("cut depth cannot be negative")
-    if depth > config.num_blocks - 2:
-        raise ConfigError(
-            f"cut depth {depth} leaves no trunk in a {config.num_blocks}-block model"
-        )
+    check_cut_depth(config, depth)
     return cut_segments(config, lora, seed, depth, config.num_blocks - depth - 1)
 
 

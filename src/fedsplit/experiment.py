@@ -22,7 +22,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .attack import AttackerConfig, run_attack
+from .attack import AttackerConfig, check_cut_depth, run_attack
 from .corpus import (
     ToyCorpus,
     client_samplers,
@@ -192,11 +192,10 @@ def _check_comm(model: ModelConfig, comm: CommSection) -> list[str]:
 
 
 def _check_attack(model: ModelConfig, attack: AttackSection) -> list[str]:
-    if attack.depth > model.num_blocks - 2:
-        return [
-            f"attack: cut depth {attack.depth} leaves no trunk in a "
-            f"{model.num_blocks}-block model"
-        ]
+    try:
+        check_cut_depth(model, attack.depth)
+    except ConfigError as exc:
+        return [f"attack: {exc}"]
     return []
 
 

@@ -190,16 +190,18 @@ class Block:
         allowed: np.ndarray,
         rope: tuple[np.ndarray, np.ndarray],
         cache=None,
+        pool: T.BufferPool | None = None,
     ) -> Tensor:
         """``allowed`` masks the cached history plus this pass's keys and
         ``rope`` holds the rotary tables at the pass's positions; the segment
-        builds both once per pass for all of its blocks."""
+        builds both once per pass for all of its blocks, and hands its
+        ``pool`` to grad-mode passes without a cache."""
         cfg = self.config
         h = T.attention_sublayer(
             x, self.attn_norm, self.attn, self.scaling, cfg.num_heads, allowed, rope,
-            cfg.rms_eps, cache,
+            cfg.rms_eps, cache, pool,
         )
-        return T.mlp_sublayer(h, self.mlp_norm, self.gate, self.up, self.down, cfg.rms_eps)
+        return T.mlp_sublayer(h, self.mlp_norm, self.gate, self.up, self.down, cfg.rms_eps, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,11 @@ class SegmentModel:
     owns the final norm and vocab head, ``full`` is the unsplit model. Forward
     records the input leaf and output so a later ``backward`` can replay the
     segment's tape and hand the input gradient back to the transport layer.
+
+    Grad-mode passes without a cache take their blocks' full-size arrays
+    from ``pool``: the segments of one ``cut_segments`` call and all their
+    clones share one, and a segment built alone gets its own. Each
+    ``backward`` trims the pool (``BufferPool.trim``).
     """
 
     def __init__(
@@ -224,6 +231,7 @@ class SegmentModel:
         block_offset: int,
         num_blocks: int,
         trainable_base: bool = False,
+        pool: T.BufferPool | None = None,
     ):
         if role not in ("front", "middle", "back", "full"):
             raise ShapeError(f"unknown segment role {role!r}")
@@ -256,6 +264,8 @@ class SegmentModel:
         self.blocks = [Block(self._params, f"blocks.{i}", config, lora)
                        for i in range(block_offset, block_offset + num_blocks)]
         self._pending: tuple[Tensor | None, Tensor] | None = None
+        self.pool = T.BufferPool() if pool is None else pool
+        self._trimmed = 0  # the pool's mark at this segment's last trim
 
     # -- forward / backward ------------------------------------------------
 
@@ -273,6 +283,9 @@ class SegmentModel:
         A pass covers the positions right after ``cache``'s (from 0 without
         one); ``positions``, when given, must be exactly those, and they must
         fit in ``max_context``. Both are checked before any cache write."""
+        grad = T.grad_enabled()
+        if grad and self._pending is not None:
+            raise ProtocolError(f"{self.role} segment ran forward twice without a backward")
         if self.role in ("front", "full"):
             ids = np.asarray(inputs)
             if ids.ndim != 2:
@@ -287,7 +300,7 @@ class SegmentModel:
                     f"hidden input must be (batch, seq, {self.config.hidden_size}), got {arr.shape}"
                 )
             seq_len = arr.shape[1]
-            leaf = Tensor(arr, requires_grad=T.grad_enabled())
+            leaf = Tensor(arr, requires_grad=grad)
             x = leaf
         past = 0 if cache is None else cache.length
         expected = range(past, past + seq_len)
@@ -307,16 +320,13 @@ class SegmentModel:
             rope = T.rope_angles(
                 np.asarray(positions, dtype=np.int64), self.config.head_dim, self.config.rope_base
             )
+            pool = self.pool if grad and cache is None else None
             for block, entry in zip(self.blocks, entries):
-                x = block.forward(x, allowed, rope, entry)
+                x = block.forward(x, allowed, rope, entry, pool)
         if self.role in ("back", "full"):
             x = T.rms_norm(x, self.final_norm, self.config.rms_eps)
             x = T.linear(x, self.head)
-        if T.grad_enabled():
-            if self._pending is not None:
-                raise ProtocolError(
-                    f"{self.role} segment ran forward twice without a backward"
-                )
+        if grad:
             self._pending = (leaf, x)
         return x
 
@@ -331,6 +341,7 @@ class SegmentModel:
         if out.requires_grad:
             out.backward(np.asarray(upstream, dtype=np.float64))
         self._pending = None
+        self._trimmed = self.pool.trim(self._trimmed)
         return None if leaf is None else leaf.grad
 
     def discard_pending(self) -> None:
@@ -376,7 +387,8 @@ class SegmentModel:
             p.data = arr.copy()
 
     def clone(self) -> "SegmentModel":
-        """A deep copy sharing no arrays with this segment."""
+        """A deep copy sharing no parameter arrays with this segment, and
+        sharing its buffer pool."""
         return SegmentModel(
             self.role,
             self.config,
@@ -385,6 +397,7 @@ class SegmentModel:
             self.block_offset,
             len(self.blocks),
             trainable_base=self.trainable_base,
+            pool=self.pool,
         )
 
 
@@ -418,13 +431,15 @@ def cut_segments(
     config: ModelConfig, lora: LoraConfig | None, seed: int, front: int, middle: int
 ) -> tuple[SegmentModel, SegmentModel, SegmentModel]:
     """Front, middle, back segments drawn from one seeded parameter stream:
-    ``front`` blocks, then ``middle`` trunk blocks, then the rest."""
+    ``front`` blocks, then ``middle`` trunk blocks, then the rest. The three
+    share one buffer pool, empty until the first grad-mode pass."""
     params = init_parameter_set(config, lora, seed)
     cut = front + middle
+    pool = T.BufferPool()
     return (
-        SegmentModel("front", config, lora, params, 0, front),
-        SegmentModel("middle", config, lora, params, front, middle),
-        SegmentModel("back", config, lora, params, cut, config.num_blocks - cut),
+        SegmentModel("front", config, lora, params, 0, front, pool=pool),
+        SegmentModel("middle", config, lora, params, front, middle, pool=pool),
+        SegmentModel("back", config, lora, params, cut, config.num_blocks - cut, pool=pool),
     )
 
 

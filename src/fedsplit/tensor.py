@@ -32,14 +32,12 @@ sublayers call the same kernels, so a sublayer is bitwise the graph of ops
 it replaces.
 
 Temporaries. A kernel keeps at most one or two full-size temporaries alive
-and writes through ``out=`` or in place. Every fresh buffer of a few hundred
-KB is memory glibc maps and trims again, so each one costs page faults on
-every call, and page faults serialize the client and trunk threads that the
-parallel strategies run side by side. Each rewrite keeps the same elementwise
-operations on the same operands in the same order, and the same reductions
-over the same contiguous layouts, so every value and gradient is bitwise
-what the plain formula gives (``tests/test_kernels.py`` holds the plain
-formulas and pins the bits and the peak temporaries). Slow paths avoided:
+and writes through ``out=`` or in place. Each rewrite keeps the same
+elementwise operations on the same operands in the same order, and the same
+reductions over the same contiguous layouts, so every value and gradient is
+bitwise what the plain formula gives (``tests/test_kernels.py`` holds the
+plain formulas and pins the bits and the peak temporaries). Slow paths
+avoided:
 - ``np.where`` over a full array, and ``np.where(z > 0, e / z, 0)``: a
   branch-free form gives the same bits (``exp(min(v, 0))`` for the sigmoid
   numerator; a division by a row sum patched only on rows whose sum is not
@@ -50,6 +48,22 @@ formulas and pins the bits and the peak temporaries). Slow paths avoided:
 - ufuncs over strided or broadcast operands allocate iterator buffers where a
   copy does not, so the rotary kernel does its arithmetic on one contiguous
   half-size buffer and only copies strided halves.
+
+Buffer pool. Every fresh buffer of a few hundred KB is memory glibc maps and
+trims again, so each one costs page faults on every call, and page faults
+serialize the client and trunk threads that the parallel strategies run side
+by side. So a training pass takes its full-size arrays from a
+``BufferPool``: free buffers grouped by shape, one pool shared by the
+segments of one model cut (``model.cut_segments``) and by their clones. Only
+grad-mode passes without a KV cache get a pool; no-grad and cached passes
+get None and make no pool call. A kernel given a pool takes the full-size
+arrays it returns and its temporaries from it and gives the temporaries back
+(a matmul through ``out=`` at the operands' own shapes gives the plain
+product's bits). A sublayer gives back a forward temporary right after use,
+and a taped activation once its node's backward has run (at once when
+nothing is taped). What callers keep stays fresh: a sublayer's output, and
+every gradient a backward returns. A tape dropped without a backward never
+gives its buffers back; they are simply garbage.
 
 ``attention_sublayer`` and ``mlp_sublayer`` make a block two tape nodes
 instead of the thirty-six of the op graph they replace (LoRA on), so a cached
@@ -188,6 +202,49 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
+class BufferPool:
+    """Free float64 buffers grouped by shape, for the grad-mode passes of the
+    segments of one model cut.
+
+    ``take`` hands out a buffer its taker owns, with whatever values its last
+    owner left, until the taker ``give``s it back. ``trim(mark)`` drops the
+    free buffers of every shape not taken since ``mark`` and returns the mark
+    for next time. A segment trims at the end of each of its passes, so the
+    pool keeps every shape that some pass took since that segment's last one:
+    a run at fixed shapes keeps all it reuses, and after a change of batch
+    width the old width's buffers go. Every method holds the pool's lock, so
+    threads running segments of one cut can share it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._taken: dict[tuple[int, ...], int] = {}  # shape -> clock at its last take
+        self._clock = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        with self._lock:
+            self._clock += 1
+            self._taken[shape] = self._clock
+            free = self._free.get(shape)
+            if free:
+                return free.pop()
+        return np.empty(shape)
+
+    def give(self, *buffers: np.ndarray | None) -> None:
+        """Return buffers taken from this pool; None entries are skipped."""
+        with self._lock:
+            for buf in buffers:
+                if buf is not None:
+                    self._free.setdefault(buf.shape, []).append(buf)
+
+    def trim(self, mark: int) -> int:
+        with self._lock:
+            for shape in [s for s in self._free if self._taken[s] <= mark]:
+                del self._free[shape]
+            return self._clock
+
+
 # ---------------------------------------------------------------------------
 # elementwise and dense ops
 
@@ -261,33 +318,40 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _make(_project(x.data, w)[0], (x, w), backward)
 
 
-def _project(x, w, a=None, b=None, scaling=1.0):
+def _project(x, w, a=None, b=None, scaling=1.0, pool=None):
     """``x @ w.T``, plus ``((x @ a.T) @ b.T) * scaling`` when ``a`` is given,
     for an array ``x`` and weight Tensors.
 
     Returns the output and ``x @ a.T`` (None without adapters), which the
     backward needs.
     """
+    if pool is None:
+        out = x @ w.data.T
+    else:
+        out = np.matmul(x, w.data.T, out=pool.take((*x.shape[:-1], w.data.shape[0])))
     if a is None:
-        return x @ w.data.T, None
+        return out, None
     h = x @ a.data.T
-    out = x @ w.data.T
-    delta = h @ b.data.T
+    delta = h @ b.data.T if pool is None else np.matmul(h, b.data.T, out=pool.take(out.shape))
     delta *= float(scaling)
     out += delta
+    if pool is not None:
+        pool.give(delta)
     return out, h
 
 
-def _linear_backward(g, x, w, need_x, need_w):
+def _linear_backward(g, x, w, need_x, need_w, pool=None):
     """Gradients ``(gx, gw)`` of ``x @ w.T``, each None unless needed."""
-    gx = g @ w if need_x else None
+    gx = None
+    if need_x:
+        gx = g @ w if pool is None else np.matmul(g, w, out=pool.take((*g.shape[:-1], w.shape[1])))
     gw = None
     if need_w:
         gw = g.reshape(-1, w.shape[0]).T @ x.reshape(-1, w.shape[1])
     return gx, gw
 
 
-def _projection_backward(g, x, proj, h, scaling, need_x):
+def _projection_backward(g, x, proj, h, scaling, need_x, pool=None):
     """Gradients of ``_project`` over the ``(w, a, b)`` Tensors of ``proj``
     (``a`` and ``b`` None for a plain projection).
 
@@ -296,20 +360,24 @@ def _projection_backward(g, x, proj, h, scaling, need_x):
     unless that Tensor has ``requires_grad``.
     """
     w, a, b = proj
-    gx_base, gw = _linear_backward(g, x, w.data, need_x, w.requires_grad)
+    gx_base, gw = _linear_backward(g, x, w.data, need_x, w.requires_grad, pool)
     if a is None:
         return None, gx_base, (gw,)
     gx_lora = ga = gb = None
     if need_x or a.requires_grad or b.requires_grad:
-        gd = g * float(scaling)
+        s = float(scaling)
+        gd = g * s if pool is None else np.multiply(g, s, out=pool.take(g.shape))
         if b.requires_grad:
             gb = gd.reshape(-1, b.data.shape[0]).T @ h.reshape(-1, h.shape[-1])
         if need_x or a.requires_grad:
             gh = gd @ b.data
             if need_x:
-                gx_lora = gh @ a.data
+                gx_lora = (gh @ a.data if pool is None
+                           else np.matmul(gh, a.data, out=pool.take(x.shape)))
             if a.requires_grad:
                 ga = gh.reshape(-1, h.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+        if pool is not None:
+            pool.give(gd)
     return gx_lora, gx_base, (gw, ga, gb)
 
 
@@ -323,28 +391,40 @@ def silu(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def _silu(x):
+def _silu(x, pool=None):
     """``x * sigmoid(x)`` and the sigmoid, which the backward needs."""
-    sig = _sigmoid(x)
-    return x * sig, sig
+    sig = _sigmoid(x, pool)
+    return (x * sig if pool is None else np.multiply(x, sig, out=pool.take(x.shape))), sig
 
 
-def _silu_backward(g, x, sig):
-    return g * (sig * (1.0 + x * (1.0 - sig)))
+def _silu_backward(g, x, sig, pool=None):
+    """With a pool, the gradient is written over ``g``, a pool buffer."""
+    if pool is None:
+        return g * (sig * (1.0 + x * (1.0 - sig)))
+    # the same products, in one buffer
+    t = np.subtract(1.0, sig, out=pool.take(sig.shape))
+    t *= x
+    t += 1.0
+    t *= sig
+    g *= t
+    pool.give(t)
+    return g
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
+def _sigmoid(v: np.ndarray, pool=None) -> np.ndarray:
     # exp of a non-positive argument never overflows; for v >= 0 this is
     # 1 / (1 + exp(-v)) and for v < 0 it is exp(v) / (1 + exp(v)), bit for bit.
     # The numerator exp(min(v, 0)) is exactly 1.0 for v >= 0 and exp(-|v|)
     # for v < 0, with no branch.
-    den = np.abs(v)
+    den = np.abs(v) if pool is None else np.abs(v, out=pool.take(v.shape))
     np.negative(den, out=den)
     np.exp(den, out=den)
     den += 1.0
-    out = np.minimum(v, 0.0)
+    out = np.minimum(v, 0.0) if pool is None else np.minimum(v, 0.0, out=pool.take(v.shape))
     np.exp(out, out=out)
     out /= den
+    if pool is not None:
+        pool.give(den)
     return out
 
 
@@ -366,11 +446,11 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-5) -> Tensor:
     return _make(out, (x, weight), backward)
 
 
-def _rms_norm(x, w, eps):
+def _rms_norm(x, w, eps, pool=None):
     """The normalized, scaled ``x`` and the per-row root mean square ``r``."""
     # the sum and the division np.mean does, without its wrapper; the
     # squares' buffer then holds the output
-    out = x * x
+    out = x * x if pool is None else np.multiply(x, x, out=pool.take(x.shape))
     ms = np.add.reduce(out, axis=-1, keepdims=True) / x.shape[-1]
     r = np.sqrt(ms + eps)
     np.divide(x, r, out=out)
@@ -378,20 +458,29 @@ def _rms_norm(x, w, eps):
     return out, r
 
 
-def _rms_norm_backward(g, x, w, r, need_x, need_w):
-    """Gradients ``(gx, gw)`` of ``_rms_norm``, each None unless needed."""
+def _rms_norm_backward(g, x, w, r, need_x, need_w, pool=None):
+    """Gradients ``(gx, gw)`` of ``_rms_norm``, each None unless needed.
+    With a pool only the temporaries come from it: ``gx`` is always fresh."""
     dim = x.shape[-1]
     gx = gw = None
     if need_w:
-        gw = (g * (x / r)).reshape(-1, dim).sum(axis=0)
+        if pool is None:
+            gw = (g * (x / r)).reshape(-1, dim).sum(axis=0)
+        else:
+            t = np.divide(x, r, out=pool.take(x.shape))
+            t *= g
+            gw = t.reshape(-1, dim).sum(axis=0)
+            pool.give(t)
     if need_x:
         # gx = g*w / r - x * (sum(g*w*x) / (dim * r^3)), in two buffers
         gx = g * w
-        t = gx * x
+        t = gx * x if pool is None else np.multiply(gx, x, out=pool.take(x.shape))
         dot = np.sum(t, axis=-1, keepdims=True)
         np.multiply(x, dot / (dim * r * r * r), out=t)
         gx /= r
         gx -= t
+        if pool is not None:
+            pool.give(t)
     return gx, gw
 
 
@@ -440,9 +529,16 @@ def _split_heads(x, num_heads):
     return x.reshape(b, s, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
+def _merge_heads(x, pool=None):
+    """With a pool, the output comes from it and ``x``, a pool buffer, goes
+    back to it."""
     b, h, s, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * hd)
+    if pool is None:
+        return x.transpose(0, 2, 1, 3).reshape(b, s, h * hd)
+    out = pool.take((b, s, h * hd))
+    out.reshape(b, s, h, hd)[...] = x.transpose(0, 2, 1, 3)
+    pool.give(x)
+    return out
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -506,7 +602,7 @@ def apply_rope(
     return _make(_rotate(x.data, cos, sin), (x,), backward)
 
 
-def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray, pool=None) -> np.ndarray:
     """[v1*cos - v2*sin, v2*cos + v1*sin] over the halves of the last axis.
 
     The arithmetic runs on one contiguous half-size temporary; the strided
@@ -517,9 +613,9 @@ def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """
     half = v.shape[-1] // 2
     v1, v2 = v[..., :half], v[..., half:]
-    out = np.empty(v.shape)
+    out = np.empty(v.shape) if pool is None else pool.take(v.shape)
     o1, o2 = out[..., :half], out[..., half:]
-    t = np.empty(v1.shape)
+    t = np.empty(v1.shape) if pool is None else pool.take(v1.shape)
     t[...] = v1
     t *= sin
     o1[...] = t
@@ -534,6 +630,8 @@ def _rotate(v: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     t *= cos
     t -= o1
     o1[...] = t
+    if pool is not None:
+        pool.give(t)
     return out
 
 
@@ -608,32 +706,43 @@ def attend(q: Tensor, k: Tensor, v: Tensor, allowed: np.ndarray) -> Tensor:
     return _make(np.matmul(probs, v.data), (q, k, v), backward)
 
 
-def _attention_probs(q, k, allowed):
+def _attention_probs(q, k, allowed, pool=None):
     """Masked softmax of ``q @ k.T / sqrt(head_dim)`` over (b, h, sq, sk)
     scores; ``allowed`` is the (b, sq, sk) key mask."""
-    probs = np.matmul(q, k.swapaxes(-1, -2))
+    kt = k.swapaxes(-1, -2)
+    if pool is None:
+        probs = np.matmul(q, kt)
+    else:
+        probs = np.matmul(q, kt, out=pool.take((*q.shape[:-1], kt.shape[-1])))
     probs *= 1.0 / math.sqrt(q.shape[-1])
     return _softmax_in_place(probs, allowed[:, None, :, :])
 
 
-def _attend_backward(g, q, k, v, probs, need_q, need_k, need_v):
+def _attend_backward(g, q, k, v, probs, need_q, need_k, need_v, pool=None):
     """Gradients ``(gq, gk, gv)`` of ``probs @ v``, each None unless needed."""
     gq = gk = gv = None
     if need_v:
-        gv = np.matmul(probs.swapaxes(-1, -2), g)
+        gv = np.matmul(probs.swapaxes(-1, -2), g, out=None if pool is None else pool.take(v.shape))
     if need_q or need_k:
         inv_scale = 1.0 / math.sqrt(q.shape[-1])
         # gs = probs * (gp - sum(gp * probs)), with gp = g @ v.T, in two buffers
-        gs = np.matmul(g, v.swapaxes(-1, -2))
-        inner = np.sum(gs * probs, axis=-1, keepdims=True)
+        gs = np.matmul(g, v.swapaxes(-1, -2), out=None if pool is None else pool.take(probs.shape))
+        if pool is None:
+            inner = np.sum(gs * probs, axis=-1, keepdims=True)
+        else:
+            t = np.multiply(gs, probs, out=pool.take(probs.shape))
+            inner = np.sum(t, axis=-1, keepdims=True)
+            pool.give(t)
         gs -= inner
         gs *= probs
         if need_q:
-            gq = np.matmul(gs, k)
+            gq = np.matmul(gs, k, out=None if pool is None else pool.take(q.shape))
             gq *= inv_scale
         if need_k:
-            gk = np.matmul(gs.swapaxes(-1, -2), q)
+            gk = np.matmul(gs.swapaxes(-1, -2), q, out=None if pool is None else pool.take(k.shape))
             gk *= inv_scale
+        if pool is not None:
+            pool.give(gs)
     return gq, gk, gv
 
 
@@ -703,6 +812,7 @@ def attention_sublayer(
     rope: tuple[np.ndarray, np.ndarray],
     eps: float = 1e-5,
     cache=None,
+    pool: BufferPool | None = None,
 ) -> Tensor:
     """Pre-norm rotary attention and its residual add as one tape node.
 
@@ -715,25 +825,33 @@ def attention_sublayer(
     (anything with ``append(k, v) -> (k_all, v_all)``) takes the rotated keys
     and the values, and attention reads the whole history it returns. The
     history is not on the tape, so with a cache the key and value
-    projections are not parents.
+    projections are not parents. A ``pool`` (never with a cache) supplies
+    the full-size arrays, as the module docstring's "Buffer pool" says.
     """
     xd = x.data
     if xd.ndim != 3 or norm.data.shape != (xd.shape[-1],):
         raise ShapeError(f"attention input {xd.shape} does not match norm {norm.data.shape}")
     cos, sin = rope
-    xn, r = _rms_norm(xd, norm.data, eps)
-    q_proj, hq = _project(xn, *projections[0], scaling)
-    k_proj, hk = _project(xn, *projections[1], scaling)
-    v_proj, hv = _project(xn, *projections[2], scaling)
-    q = _rotate(_split_heads(q_proj, num_heads), cos, sin)
-    k = _rotate(_split_heads(k_proj, num_heads), cos, sin)
+    xn, r = _rms_norm(xd, norm.data, eps, pool)
+    q_proj, hq = _project(xn, *projections[0], scaling, pool)
+    k_proj, hk = _project(xn, *projections[1], scaling, pool)
+    v_proj, hv = _project(xn, *projections[2], scaling, pool)
+    q = _rotate(_split_heads(q_proj, num_heads), cos, sin, pool)
+    k = _rotate(_split_heads(k_proj, num_heads), cos, sin, pool)
     v = _split_heads(v_proj, num_heads)
     if cache is not None:
         k, v = cache.append(k, v)
-    probs = _attention_probs(q, k, allowed)
-    ctx = _merge_heads(np.matmul(probs, v))
-    out, ho = _project(ctx, *projections[3], scaling)
-    out += xd
+    probs = _attention_probs(q, k, allowed, pool)
+    ctx = _merge_heads(
+        np.matmul(probs, v) if pool is None else np.matmul(probs, v, out=pool.take(q.shape)), pool
+    )
+    out, ho = _project(ctx, *projections[3], scaling, pool)
+    if pool is None:
+        out += xd
+    else:
+        # the output stays fresh, since callers keep it
+        out, proj = out + xd, out
+        pool.give(q_proj, k_proj, proj)
     taped = [(projections[0], hq, True)]
     if cache is None:
         taped += [(projections[1], hk, True), (projections[2], hv, False)]
@@ -747,13 +865,15 @@ def attention_sublayer(
 
         def project_back(total, gp, inp, proj, h, need_inp):
             # the input's low-rank part, then its base part, added to total
-            g_lora, g_base, grads = _projection_backward(gp, inp, proj, h, scaling, need_inp)
-            return _sum_in_order((total, g_lora, g_base)), grads
+            g_lora, g_base, grads = _projection_backward(gp, inp, proj, h, scaling, need_inp, pool)
+            return _sum_in_order((total, g_lora, g_base), pool), grads
 
         gctx, out_grads = project_back(None, g, ctx, projections[3], ho, any(need))
         heads = [None] * 3
         if gctx is not None:
-            heads = [*_attend_backward(_split_heads(gctx, num_heads), q, k, v, probs, *need)]
+            heads = [*_attend_backward(_split_heads(gctx, num_heads), q, k, v, probs, *need, pool)]
+            if pool is not None:
+                pool.give(gctx)
             del gctx  # each gradient buffer goes once it is used
         # the tape's walk reaches the value's projection first, then the
         # key's, then the query's, and n's gradient sums in that order
@@ -762,63 +882,112 @@ def attention_sublayer(
             (proj, h, rotated), gh = taped[i], heads.pop(i)
             if gh is not None:
                 # rope's backward rotates back, split_heads' merges the heads
-                gh = _merge_heads(_rotate(gh, cos, -sin) if rotated else gh)
+                turned = _rotate(gh, cos, -sin, pool) if rotated else gh
+                if pool is not None and rotated:
+                    pool.give(gh)
+                gh = _merge_heads(turned, pool)
             gxn, grads = project_back(gxn, gh, xn, proj, h, need_xn)
+            if pool is not None:
+                pool.give(gh)
             proj_grads[:0] = grads
         gx = gnorm = None
         if need_xn:
-            gx, gnorm = _rms_norm_backward(gxn, xd, norm.data, r, x.requires_grad, norm.requires_grad)
+            gx, gnorm = _rms_norm_backward(
+                gxn, xd, norm.data, r, x.requires_grad, norm.requires_grad, pool
+            )
+        if pool is not None:
+            pool.give(gxn, *saved)
         return (g if x.requires_grad else None, gx, gnorm, *proj_grads, *out_grads)
 
     weights = [t for p, _, _ in taped for t in p if t is not None]
     weights += [t for t in projections[3] if t is not None]
-    return _make(out, (x, x, norm, *weights), backward)
+    node = _make(out, (x, x, norm, *weights), backward)
+    if pool is not None:
+        saved = (xn, v_proj, q, k, probs, ctx)
+        if node._backward_fn is None:  # nothing taped
+            pool.give(*saved)
+    return node
 
 
 def mlp_sublayer(
-    h: Tensor, norm: Tensor, gate: Tensor, up: Tensor, down: Tensor, eps: float = 1e-5
+    h: Tensor,
+    norm: Tensor,
+    gate: Tensor,
+    up: Tensor,
+    down: Tensor,
+    eps: float = 1e-5,
+    pool: BufferPool | None = None,
 ) -> Tensor:
     """Pre-norm SiLU-gated MLP and its residual add as one tape node.
 
     With ``n = rms_norm(h, norm, eps)`` this is
-    ``h + linear(silu(linear(n, gate)) * linear(n, up), down)``.
+    ``h + linear(silu(linear(n, gate)) * linear(n, up), down)``. A ``pool``
+    supplies the full-size arrays, as for ``attention_sublayer``.
     """
     hd = h.data
     if hd.ndim != 3 or norm.data.shape != (hd.shape[-1],):
         raise ShapeError(f"mlp input {hd.shape} does not match norm {norm.data.shape}")
-    hn, r = _rms_norm(hd, norm.data, eps)
-    pre, _ = _project(hn, gate)
-    lin, _ = _project(hn, up)
-    act, sig = _silu(pre)
-    prod = act * lin
-    out, _ = _project(prod, down)
-    out += hd
+    hn, r = _rms_norm(hd, norm.data, eps, pool)
+    pre, _ = _project(hn, gate, pool=pool)
+    lin, _ = _project(hn, up, pool=pool)
+    act, sig = _silu(pre, pool)
+    prod = act * lin if pool is None else np.multiply(act, lin, out=pool.take(act.shape))
+    out, _ = _project(prod, down, pool=pool)
+    if pool is None:
+        out += hd
+    else:
+        out, proj = out + hd, out
+        pool.give(proj)
 
     def backward(g):
         need_hn = h.requires_grad or norm.requires_grad
         need_gate = need_hn or gate.requires_grad
         need_up = need_hn or up.requires_grad
-        gprod, gdown = _linear_backward(g, prod, down.data, need_gate or need_up, down.requires_grad)
-        gpre = _silu_backward(gprod * lin, pre, sig) if need_gate else None
-        glin = gprod * act if need_up else None
+        gprod, gdown = _linear_backward(
+            g, prod, down.data, need_gate or need_up, down.requires_grad, pool
+        )
+        gpre = glin = None
+        if need_gate:
+            if pool is None:
+                gpre = _silu_backward(gprod * lin, pre, sig)
+            else:
+                gact = np.multiply(gprod, lin, out=pool.take(lin.shape))
+                gpre = _silu_backward(gact, pre, sig, pool)
+        if need_up:
+            glin = gprod * act if pool is None else np.multiply(gprod, act, out=pool.take(act.shape))
         # the tape's walk reaches up's projection before gate's
-        ghn_up, gup = _linear_backward(glin, hn, up.data, need_hn, up.requires_grad)
-        ghn_gate, ggate = _linear_backward(gpre, hn, gate.data, need_hn, gate.requires_grad)
+        ghn_up, gup = _linear_backward(glin, hn, up.data, need_hn, up.requires_grad, pool)
+        ghn_gate, ggate = _linear_backward(gpre, hn, gate.data, need_hn, gate.requires_grad, pool)
         gh = gnorm = None
         if need_hn:
+            ghn = _sum_in_order((ghn_up, ghn_gate), pool)
             gh, gnorm = _rms_norm_backward(
-                _sum_in_order((ghn_up, ghn_gate)), hd, norm.data, r, h.requires_grad,
-                norm.requires_grad,
+                ghn, hd, norm.data, r, h.requires_grad, norm.requires_grad, pool
             )
+            if pool is not None:
+                pool.give(ghn)
+        if pool is not None:
+            pool.give(gprod, gpre, glin, *saved)
         return (g if h.requires_grad else None, gh, gnorm, ggate, gup, gdown)
 
-    return _make(out, (h, h, norm, gate, up, down), backward)
+    node = _make(out, (h, h, norm, gate, up, down), backward)
+    if pool is not None:
+        saved, spare = [pre, lin, act, sig], []
+        # the backward reads hn only for gate's and up's gradients, and prod
+        # only for down's
+        (saved if gate.requires_grad or up.requires_grad else spare).append(hn)
+        (saved if down.requires_grad else spare).append(prod)
+        if node._backward_fn is None:  # nothing taped
+            saved, spare = [], saved + spare
+        pool.give(*spare)
+    return node
 
 
-def _sum_in_order(parts):
+def _sum_in_order(parts, pool=None):
     """Left-to-right sum of the parts that are not None, the grouping in
     which ``Tensor.backward`` accumulates a gradient from several nodes.
-    The first part, a buffer the caller owns, holds the sum."""
+    The first part, a buffer the caller owns, holds the sum; with a pool,
+    every later part goes back to it once added."""
     total = None
     for part in parts:
         if part is not None:
@@ -826,6 +995,8 @@ def _sum_in_order(parts):
                 total = part
             else:
                 total += part
+                if pool is not None:
+                    pool.give(part)
     return total
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsplit import experiment
+from fedsplit.attack import check_cut_depth
 from fedsplit.corpus import CorpusItem, ToyCorpus, make_copy_corpus, shard_corpus
 from fedsplit.errors import ConfigError
 from fedsplit.experiment import (
@@ -653,6 +654,17 @@ def test_attack_depth_must_leave_a_trunk():
     raw = base_raw(attack={"depth": 3})
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_attack_depth_is_checked_at_load_by_the_attack_rule(monkeypatch):
+    """Loading runs ``attack.check_cut_depth``, the rule the split builder
+    runs, so a config fails with its message before any stage runs."""
+    calls = []
+    monkeypatch.setattr(experiment, "check_cut_depth",
+                        lambda model, depth: calls.append(depth) or check_cut_depth(model, depth))
+    with pytest.raises(ConfigError, match="attack: cut depth 3 leaves no trunk in a 4-block model"):
+        config_from_dict(base_raw(attack={"depth": 3}))
+    assert calls == [3]
 
 
 # ---------------------------------------------------------------------------

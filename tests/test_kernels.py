@@ -159,7 +159,7 @@ def composed_mlp(h, norm, gate, up, down, eps):
     return add(h, linear(gated, down))
 
 
-def composed_block_forward(block, x, allowed, rope, cache=None):
+def composed_block_forward(block, x, allowed, rope, cache=None, pool=None):
     cfg = block.config
     h = composed_attention(
         x, block.attn_norm, block.attn, block.scaling, cfg.num_heads, allowed, rope, cfg.rms_eps, cache
