@@ -106,17 +106,19 @@ def rouge2_f1(candidate: Sequence[int], reference: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class AttackerConfig:
-    """Knobs of the reconstruction decoder and its training schedule."""
+    """The curious server's decoder and schedule; also the config file's ``attack``
+    section, so its names and defaults are the file's. ``enabled`` False decodes nothing."""
 
     depth: int = 1
-    lr: float = 2e-3
+    attacker_lr: float = 0.2
     replay_epochs: int = 0
-    seed: int = 101
+    attacker_seed: int = 101
+    enabled: bool = True
 
     def __post_init__(self):
         if self.depth < 0:
             raise ConfigError("attack decoder depth cannot be negative")
-        if self.lr <= 0:
+        if self.attacker_lr <= 0:
             raise ConfigError("attack learning rate must be positive")
         if self.replay_epochs < 0:
             raise ConfigError("replay epochs cannot be negative")
@@ -275,13 +277,13 @@ def run_attack(
     noise: NoiseConfig | None = None,
     lora: LoraConfig | None = LoraConfig(),
     seed: int = 0,
-    attack_enabled: bool = True,
     record_frames: bool = False,
 ) -> AttackReport:
     """Train a two-client federation with a curious server and score it.
 
     ``corpora[0]`` belongs to the colluding client, ``corpora[1]`` to the
-    honest one whose held-out items are attacked. With ``attack_enabled``
+    honest one whose held-out items are attacked. ``lr`` is the federation's
+    step; the decoder's is ``attacker.attacker_lr``. With ``attacker.enabled``
     False the identical federation runs and nothing is decoded; the report
     then carries NaN metrics but the same losses and frames, which is what
     the non-interference audit compares. With it on, the server end of the
@@ -303,7 +305,7 @@ def run_attack(
     for channel in server_channels if record_frames else ():
         channel.sent_log, channel.recv_log = [], []
     captured = server_channels[malicious_id]
-    if attack_enabled:
+    if attacker.enabled:
         captured.recv_log = []  # nothing has crossed yet, so no log misses a frame
     samplers = client_samplers(corpora, batch_size, seed)
 
@@ -316,14 +318,15 @@ def run_attack(
             frame_log += channel.recv_log + channel.sent_log
     scale = noise.scale if noise is not None and noise.target == "forward_hidden" else 0.0
     scores, pairs = (float("nan"),) * 3, []
-    if attack_enabled:
+    if attacker.enabled:
         received = (decode_message(frame) for frame in captured.recv_log)
         hidden = (msg for msg in received if isinstance(msg, HiddenStateMsg))
         for r, msg in enumerate(hidden):  # the colluding client sends one per round
             batch = samplers[malicious_id].batch_for(r)
             pairs.append((msg.payload, batch.tokens, batch.pad_lens))
-        decoder = build_decoder_probe(config, attacker.depth, attacker.seed)
-        train_decoder(decoder, pairs, attacker.lr, attacker.replay_epochs, attacker.seed + 1)
+        decoder = build_decoder_probe(config, attacker.depth, attacker.attacker_seed)
+        train_decoder(decoder, pairs, attacker.attacker_lr, attacker.replay_epochs,
+                      attacker.attacker_seed + 1)
         scores = evaluate_reconstruction(decoder, clients[honest_id].front, heldout, scale)
     return AttackReport(
         attacker.depth,

@@ -110,15 +110,6 @@ class EvalSection:
 
 
 @dataclass(frozen=True)
-class AttackSection:
-    depth: int = 1
-    attacker_lr: float = 0.2
-    replay_epochs: int = 0
-    attacker_seed: int = 101
-    enabled: bool = True
-
-
-@dataclass(frozen=True)
 class CommSection:
     batch: int = 2
     seq_len: int = 128
@@ -151,7 +142,7 @@ class ExperimentConfig:
     corpus: CorpusSection
     generation: GenerationSection
     evaluation: EvalSection
-    attack: AttackSection
+    attack: AttackerConfig
     comm: CommSection
     grid: GridSection
     transport: str = "loopback"
@@ -191,7 +182,7 @@ def _check_comm(model: ModelConfig, comm: CommSection) -> list[str]:
     return problems
 
 
-def _check_attack(model: ModelConfig, attack: AttackSection) -> list[str]:
+def _check_attack(model: ModelConfig, attack: AttackerConfig) -> list[str]:
     try:
         check_cut_depth(model, attack.depth)
     except ConfigError as exc:
@@ -222,7 +213,7 @@ SECTIONS = {
     "corpus": CorpusSection,
     "generation": GenerationSection,
     "evaluation": EvalSection,
-    "attack": AttackSection,
+    "attack": AttackerConfig,
     "comm": CommSection,
     "grid": GridSection,
 }
@@ -589,18 +580,11 @@ def run_attack_experiment(cfg: ExperimentConfig, output_dir=None):
     out = _prepare_output_dir(cfg, output_dir)
     corpus = build_corpus(cfg.corpus, cfg.model)
     malicious, honest, heldout = shard_corpus(corpus, 3)
-    attacker = AttackerConfig(
-        depth=cfg.attack.depth,
-        lr=cfg.attack.attacker_lr,
-        replay_epochs=cfg.attack.replay_epochs,
-        seed=cfg.attack.attacker_seed,
-    )
     report = run_attack(
         cfg.model, [malicious, honest], heldout,
-        steps=cfg.training.steps, attacker=attacker,
+        steps=cfg.training.steps, attacker=cfg.attack,
         lr=cfg.training.lr, batch_size=cfg.training.batch_size,
         noise=cfg.noise, lora=cfg.lora, seed=cfg.seed,
-        attack_enabled=cfg.attack.enabled,
     )
     return write_report(out / "attack.json", "attack", cfg.seed, report.to_json())
 

@@ -167,7 +167,7 @@ class ClientBatchTrainer(Trainer):
         clients: Sequence[TrainingClient],
         server: TrainingServer,
         server_channels: Sequence[MessageChannel],
-        barrier_timeout: float = 30.0,
+        barrier_timeout: float = StrategyConfig.barrier_timeout,
     ):
         super().__init__(clients, server_channels)
         self.server = server

@@ -8,6 +8,7 @@ printed line and the test verdict always agree.
 
 import contextlib
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -653,7 +654,7 @@ def test_criterion_10_attack_ordering(capsys):
             shards[:2],
             shards[2],
             steps=8,
-            attacker=AttackerConfig(depth=0, lr=0.2, replay_epochs=20),
+            attacker=AttackerConfig(depth=0, attacker_lr=0.2, replay_epochs=20),
             lr=1e-4,
             batch_size=4,
             seed=3,
@@ -665,7 +666,7 @@ def test_criterion_10_attack_ordering(capsys):
             shards[:2],
             shards[2],
             steps=8,
-            attacker=AttackerConfig(depth=1, lr=0.2, replay_epochs=20),
+            attacker=AttackerConfig(depth=1, attacker_lr=0.2, replay_epochs=20),
             noise=NoiseConfig(0.02, "forward_hidden", 7),
             lr=1e-4,
             batch_size=4,
@@ -674,17 +675,19 @@ def test_criterion_10_attack_ordering(capsys):
         chance = 1.0 / cfg.vocab_size
         assert deep.token_accuracy <= 3.0 * chance
 
+        auditor = AttackerConfig(depth=1, attacker_lr=0.2, replay_epochs=0)
         audit_kwargs = dict(
             steps=4,
-            attacker=AttackerConfig(depth=1, lr=0.2, replay_epochs=0),
             noise=NoiseConfig(0.02, "forward_hidden", 7),
             lr=1e-4,
             batch_size=4,
             seed=3,
             record_frames=True,
         )
-        observed = run_attack(cfg, shards[:2], shards[2], attack_enabled=True, **audit_kwargs)
-        unobserved = run_attack(cfg, shards[:2], shards[2], attack_enabled=False, **audit_kwargs)
+        observed = run_attack(cfg, shards[:2], shards[2], attacker=auditor, **audit_kwargs)
+        unobserved = run_attack(
+            cfg, shards[:2], shards[2], attacker=replace(auditor, enabled=False), **audit_kwargs
+        )
         assert observed.honest_losses == unobserved.honest_losses
         assert len(observed.frame_log) == len(unobserved.frame_log) > 0
         assert all(a == b for a, b in zip(observed.frame_log, unobserved.frame_log))

@@ -2,6 +2,7 @@
 (hidden states, tokens, pads) pairs, and the non-interference contract."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def test_attacker_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         AttackerConfig(depth=-1)
     with pytest.raises(ConfigError):
-        AttackerConfig(lr=0.0)
+        AttackerConfig(attacker_lr=0.0)
     with pytest.raises(ConfigError):
         AttackerConfig(replay_epochs=-2)
 
@@ -289,7 +290,7 @@ def test_run_attack_report_shape():
         shards[:2],
         shards[2],
         steps=3,
-        attacker=AttackerConfig(depth=1, lr=0.2, replay_epochs=0),
+        attacker=AttackerConfig(depth=1, attacker_lr=0.2, replay_epochs=0),
         lr=1e-4,
         batch_size=4,
         seed=3,
@@ -311,7 +312,7 @@ def test_run_attack_embedding_cut_reconstructs_heldout_data():
         shards[:2],
         shards[2],
         steps=8,
-        attacker=AttackerConfig(depth=0, lr=0.2, replay_epochs=20),
+        attacker=AttackerConfig(depth=0, attacker_lr=0.2, replay_epochs=20),
         lr=1e-4,
         batch_size=4,
         seed=3,
@@ -328,7 +329,7 @@ def test_run_attack_noisy_deep_cut_stays_near_chance():
         shards[:2],
         shards[2],
         steps=8,
-        attacker=AttackerConfig(depth=1, lr=0.2, replay_epochs=20),
+        attacker=AttackerConfig(depth=1, attacker_lr=0.2, replay_epochs=20),
         noise=NoiseConfig(0.02, "forward_hidden", 7),
         lr=1e-4,
         batch_size=4,
@@ -349,17 +350,19 @@ def test_run_attack_reports_the_noise_on_the_hidden_states():
 
 def test_attack_does_not_change_honest_training_or_frames():
     shards = shard_corpus(small_corpus(), 3)
+    auditor = AttackerConfig(depth=1, attacker_lr=0.2, replay_epochs=0)
     kwargs = dict(
         steps=4,
-        attacker=AttackerConfig(depth=1, lr=0.2, replay_epochs=0),
         noise=NoiseConfig(0.02, "forward_hidden", 7),
         lr=1e-4,
         batch_size=4,
         seed=3,
         record_frames=True,
     )
-    with_attack = run_attack(CFG, shards[:2], shards[2], attack_enabled=True, **kwargs)
-    without = run_attack(CFG, shards[:2], shards[2], attack_enabled=False, **kwargs)
+    with_attack = run_attack(CFG, shards[:2], shards[2], attacker=auditor, **kwargs)
+    without = run_attack(
+        CFG, shards[:2], shards[2], attacker=replace(auditor, enabled=False), **kwargs
+    )
     assert with_attack.honest_losses == without.honest_losses
     assert len(with_attack.frame_log) == len(without.frame_log) > 0
     assert all(a == b for a, b in zip(with_attack.frame_log, without.frame_log))
@@ -368,7 +371,7 @@ def test_attack_does_not_change_honest_training_or_frames():
 def test_disabled_attack_reports_no_metrics():
     shards = shard_corpus(small_corpus(), 3)
     rep = run_attack(
-        CFG, shards[:2], shards[2], steps=2, lr=1e-4, attack_enabled=False
+        CFG, shards[:2], shards[2], steps=2, lr=1e-4, attacker=AttackerConfig(enabled=False)
     )
     assert math.isnan(rep.token_accuracy)
     assert rep.train_pairs == 0
@@ -384,7 +387,7 @@ def test_security_ordering_embedding_cut_versus_deep_cuts():
         shards[:2],
         shards[2],
         steps=8,
-        attacker=AttackerConfig(depth=0, lr=0.2, replay_epochs=20),
+        attacker=AttackerConfig(depth=0, attacker_lr=0.2, replay_epochs=20),
         lr=1e-4,
         batch_size=4,
         seed=3,
@@ -395,7 +398,7 @@ def test_security_ordering_embedding_cut_versus_deep_cuts():
             shards[:2],
             shards[2],
             steps=8,
-            attacker=AttackerConfig(depth=depth, lr=0.2, replay_epochs=20),
+            attacker=AttackerConfig(depth=depth, attacker_lr=0.2, replay_epochs=20),
             lr=1e-4,
             batch_size=4,
             noise=NoiseConfig(0.02, "forward_hidden", seed=71),

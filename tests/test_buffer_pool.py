@@ -39,6 +39,7 @@ from fedsplit.training import (
     TrainingServer,
     connect_pair,
     local_loss_step,
+    train_monolithic,
 )
 from fedsplit.wire import GradMsg, HiddenStateMsg, MaskMeta
 
@@ -151,6 +152,48 @@ def test_three_pooled_steps_are_bitwise_the_op_graph(monkeypatch, trainable_base
         assert list(grads) == list(want_grads)
         for name in grads:
             assert_bits(grads[name], want_grads[name])
+
+
+def test_a_front_pass_that_tapes_nothing_gives_every_buffer_back(monkeypatch):
+    """Without LoRA the front's blocks are frozen and fed by a frozen
+    embedding, so its pooled forward tapes nothing: each sublayer gives its
+    buffers back in the same pass, and the split steps stay bitwise the
+    monolithic ones."""
+    rng = np.random.default_rng(80)
+    batches = [random_batch(rng, 7) for _ in range(3)]
+    want = train_monolithic(build_monolithic(CFG, None, seed=81), batches.__getitem__, 3, lr=0.1)
+
+    front, middle, back = build_partitioned(CFG, PART, None, seed=81)
+    pool, passes, current = front.pool, [], []
+    take, give, forward = pool.take, pool.give, front.forward
+
+    def counted_take(shape):
+        for counts in current:
+            counts["take"] += 1
+        return take(shape)
+
+    def counted_give(*buffers):
+        for counts in current:
+            counts["give"] += sum(buf is not None for buf in buffers)
+        give(*buffers)
+
+    def counted_forward(*args, **kwargs):
+        current.append({"take": 0, "give": 0})
+        try:
+            return forward(*args, **kwargs)
+        finally:
+            passes.append(current.pop())
+
+    monkeypatch.setattr(pool, "take", counted_take)
+    monkeypatch.setattr(pool, "give", counted_give)
+    front.forward = counted_forward
+    client, server, channel = connect_pair(front, middle, back, 0, lr=0.1)
+    with SequentialTrainer([client], server, [channel]) as trainer:
+        records = trainer.run(lambda cid, r: batches[r], rounds=3)
+    assert [r.loss for r in records] == want
+    assert len(passes) == 3
+    for counted in passes:
+        assert counted["take"] > 0 and counted["give"] == counted["take"], counted
 
 
 def run_strategy(strategy, transport, rounds=4):

@@ -173,6 +173,17 @@ def test_config_schema_matches_top_level_default(name):
     assert type(default)(prop["default"]) == default, name
 
 
+def test_config_from_dict_falls_back_to_the_schema_top_level_defaults():
+    """A document that leaves out ``seed``, ``transport`` and ``output_dir``
+    loads to the schema's stated defaults for them."""
+    props = load_schema("experiment_config.schema.json")["properties"]
+    raw = base_raw()
+    del raw["seed"]
+    cfg = config_from_dict(raw)
+    loaded = {"seed": cfg.seed, "transport": cfg.transport, "output_dir": str(cfg.output_dir)}
+    assert loaded == {name: props[name]["default"] for name in loaded}
+
+
 @pytest.mark.parametrize("section", sorted(experiment.SECTIONS))
 def test_config_schema_matches_section_dataclass(section):
     """Each section's fields and defaults are written twice, in the schema and

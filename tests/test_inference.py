@@ -93,6 +93,11 @@ def test_cache_rejects_wrong_block_count_and_shapes():
         entry.append(np.ones((1, 3, 1, 4)), np.ones((1, 3, 1, 4)))
 
 
+def test_cache_needs_at_least_one_block():
+    with pytest.raises(ShapeError, match="a cache needs at least one block"):
+        KVCache(0)
+
+
 def test_cache_views_keep_their_values_across_appends_and_growth():
     entry = KVCache(1).entries_for(1)[0]
     rng = np.random.default_rng(3)
@@ -783,6 +788,14 @@ def test_concurrent_sessions_share_a_server_without_mixing_caches():
                     logits[i] = sessions[i].decode_step(tok)
     assert tokens[0] == solo[0]
     assert tokens[1] == solo[1]
+
+
+def test_a_stack_needs_a_trunk_or_a_server():
+    front, _, back = build_partitioned(CFG, PART, seed=0)
+    before = set(threading.enumerate())
+    with pytest.raises(ConfigError, match="either a trunk segment or a server is required"):
+        InferenceStack(front, None, back)
+    assert set(threading.enumerate()) - before == set()  # nothing was started
 
 
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])

@@ -200,6 +200,13 @@ def test_batch_forward_rejects_duplicates_and_overlap():
         server.batch_forward(msgs)
 
 
+def test_batch_forward_rejects_an_empty_group():
+    server = ClientBatchServer(fresh_middle(), lr=0.1)
+    with pytest.raises(ProtocolError, match="batch forward needs at least one message"):
+        server.batch_forward([])
+    assert len(server.batch_forward(hidden_msgs(1))) == 1  # nothing was left in flight
+
+
 def test_batch_results_ignore_arrival_order():
     msgs = hidden_msgs(3, seed=5)
     grads = [
@@ -440,6 +447,76 @@ def test_client_batch_names_a_client_stalled_in_its_step(kind, hop):
     finally:
         release.set()
         trainer.shutdown()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_client_batch_reraises_a_client_that_fails_after_the_last_reply(kind):
+    """Client 1's front backward raises once both replies are out: the round
+    raises that same error within the barrier timeout, and shutdown leaves
+    no thread running."""
+    before = set(threading.enumerate())
+    clients, middle, server_channels = build_shared_trunk_session(
+        CFG, PART, num_clients=2, lr=0.1, seed=2, transport=kind
+    )
+    timeout = 5.0
+    trainer = ClientBatchTrainer(
+        clients, ClientBatchServer(middle, lr=0.1), server_channels, barrier_timeout=timeout
+    )
+    batch = sampler_for().batch_for(0)
+    failure = RuntimeError("client 1 lost its front gradient")
+
+    def broken_backward(*args, **kwargs):
+        raise failure
+
+    clients[1].front.backward = broken_backward
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="client 1 ") as raised:
+            trainer.run_round([batch, batch], 0)
+        assert raised.value is failure
+        assert time.monotonic() - start < timeout
+    finally:
+        trainer.shutdown()
+    assert set(threading.enumerate()) - before == set()
+
+
+@pytest.mark.parametrize("trainer_kind", ["sequential", "client_batch"])
+def test_run_round_rejects_a_wrong_batch_count(trainer_kind):
+    clients, middle, server_channels = build_shared_trunk_session(
+        CFG, PART, num_clients=2, lr=0.1, seed=2
+    )
+    kind = SequentialTrainer if trainer_kind == "sequential" else ClientBatchTrainer
+    batch = sampler_for().batch_for(0)
+    with kind(clients, TrainingServer(middle, lr=0.1), server_channels) as trainer:
+        with pytest.raises(ProtocolError, match="expected 2 batches, got 1"):
+            trainer.run_round([batch], 0)
+        assert len(trainer.run_round([batch, batch], 0)) == 2
+
+
+def close_session(clients, server_channels):
+    for ch in server_channels:
+        ch.close()
+    for c in clients:
+        c.channel.close()
+
+
+@pytest.mark.parametrize(
+    "wiring, message",
+    [
+        ("channel_short", "one server channel per client is required"),
+        ("duplicate_ids", r"duplicate client ids: \[0, 0\]"),
+    ],
+)
+def test_trainer_rejects_a_miswired_client_set(wiring, message):
+    clients, middle, server_channels = build_shared_trunk_session(
+        CFG, PART, num_clients=2, lr=0.1, seed=2
+    )
+    channels = server_channels[:1] if wiring == "channel_short" else server_channels
+    if wiring == "duplicate_ids":
+        clients[1].client_id = 0
+    with pytest.raises(ProtocolError, match=message):
+        SequentialTrainer(clients, TrainingServer(middle, lr=0.1), channels)
+    close_session(clients, server_channels)
 
 
 def test_no_wire_frame_carries_raw_tokens():
@@ -761,6 +838,37 @@ def test_hierarchical_rejects_sub_server_not_at_central_params():
         ch.close()
     for c in clients:
         c.channel.close()
+
+
+@pytest.mark.parametrize(
+    "num_clients, sub_servers, error, message",
+    [
+        (3, 2, ConfigError, "strategy expects 3 clients, got 2"),
+        (2, 1, ProtocolError, "one sub-server per client is required"),
+    ],
+)
+def test_hierarchical_rejects_a_client_or_sub_server_count(
+    num_clients, sub_servers, error, message
+):
+    central, clients, subs, channels = hierarchical_session(2, seed=23)
+    cfg = StrategyConfig(mode="server_hierarchical", num_clients=num_clients)
+    with pytest.raises(error, match=message):
+        HierarchicalTrainer(central, clients, subs[:sub_servers], channels, cfg)
+    close_session(clients, channels)
+
+
+def test_hierarchical_run_raises_once_every_pipeline_has_failed():
+    central, clients, subs, channels = hierarchical_session(2, seed=31)
+
+    def source(cid, step):
+        raise RuntimeError(f"client {cid} lost its shard")
+
+    cfg = StrategyConfig(mode="server_hierarchical", num_clients=2, sync_interval=2)
+    with HierarchicalTrainer(central, clients, subs, channels, cfg) as trainer:
+        with pytest.raises(ProtocolError, match="every pipeline has failed"):
+            trainer.run(source, 4)
+    assert sorted(trainer.failed) == [0, 1]
+    assert trainer.merge_log == []
 
 
 def test_hierarchical_run_returns_records_and_merges():

@@ -177,6 +177,17 @@ def test_loopback_close_unblocks_peer():
         a.send_frame(b"x")
 
 
+def test_loopback_recv_on_a_closed_channel_is_channel_closed():
+    a, b = LoopbackChannel.pair()
+    a.close()
+    with pytest.raises(ChannelClosedError, match="recv on a closed channel"):
+        a.recv_frame(timeout=1.0)
+    with pytest.raises(ChannelClosedError, match="peer closed the channel"):
+        b.recv_frame(timeout=1.0)
+    with pytest.raises(ChannelClosedError, match="recv on a closed channel"):
+        b.recv_frame(timeout=1.0)  # the peer's close marked this end closed too
+
+
 def test_loopback_recv_timeout():
     a, _ = LoopbackChannel.pair()
     with pytest.raises(ProtocolError):
