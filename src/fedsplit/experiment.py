@@ -150,6 +150,10 @@ class ExperimentConfig:
     output_dir: Path = Path("runs/exp")
     raw: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.seed = int(self.seed)
+        self.output_dir = Path(self.output_dir)
+
     def requested(self, section: str) -> bool:
         return section in self.raw
 
@@ -267,13 +271,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         errors.extend(_check_evaluation(corpus, built["evaluation"]))
     _require_valid(errors)
 
-    return ExperimentConfig(
-        **built,
-        transport=raw.get("transport", "loopback"),
-        seed=int(raw.get("seed", 0)),
-        output_dir=Path(raw.get("output_dir", "runs/exp")),
-        raw=raw,
-    )
+    top = {key: raw[key] for key in ("transport", "seed", "output_dir") if key in raw}
+    return ExperimentConfig(**built, **top, raw=raw)
 
 
 def load_config(path, env: dict | None = None) -> ExperimentConfig:

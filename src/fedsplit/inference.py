@@ -2,10 +2,12 @@
 
 A generation session prefills (one full-prompt hidden-state exchange) and
 then ships exactly one token's hidden state per decode step in each
-direction, while both sides extend block-local key/value caches. Both are one
-exchange, whose reply echoes its request. A cache entry writes each step in
-place into buffers that double when full, so a decode step copies no history
-except at the O(log context) growth points.
+direction, while both sides extend their key/value caches. Both are one
+exchange, whose reply echoes its request. A cache holds one length for all
+of a segment's blocks, which the segment advances once per pass after every
+block has written. Each block writes in place into buffers that double when
+full, so a decode step copies no history except at the O(log context)
+growth points.
 Turning the cache off makes every step recompute the whole prefix, which
 reproduces the same tokens at a per-step cost that grows with context length;
 the cached and uncached paths exist side by side so that equivalence is
@@ -50,73 +52,45 @@ from .wire import CacheStepMsg, HiddenStateMsg, MaskMeta, reply_to
 MAX_PREFILL_ROWS = 16
 
 
-class _CacheEntry:
-    """Append-only post-rotary key/value history for one block.
+class KVCache:
+    """Post-rotary key/value history owned by one side of one session.
 
-    Keys and values live in buffers with spare room on the position axis.
-    An append writes in place just past the filled length and returns views
-    of the filled prefix; a full buffer doubles, so a session of n positions
-    copies its history O(log n) times rather than once per token. A view
-    once returned is never written again: later appends only touch slots
-    beyond it.
+    One ``length`` covers all of a segment's blocks: ``SegmentModel.forward``
+    advances it once per pass, after every block has appended, so a pass
+    that fails part-way leaves it as it was. Each block's keys and values
+    live in buffers with spare room on the position axis. ``append`` writes
+    in place just past ``length`` and returns views up to the pass's end; a
+    full buffer doubles, so a session of n positions copies its history
+    O(log n) times rather than once per token. Later passes only write
+    beyond a finished pass's views.
     """
 
-    __slots__ = ("_k", "_v", "length")
-
     def __init__(self):
-        self._k: np.ndarray | None = None
-        self._v: np.ndarray | None = None
         self.length = 0
+        self._buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def append(self, block: int, k_new, v_new) -> tuple[np.ndarray, np.ndarray]:
         if k_new.shape != v_new.shape:
             raise ShapeError(f"key shape {k_new.shape} != value shape {v_new.shape}")
         start, end = self.length, self.length + k_new.shape[2]
-        if self._k is None:
-            self._k = np.empty(k_new.shape)
-            self._v = np.empty(v_new.shape)
-        else:
-            if k_new.shape[:2] != self._k.shape[:2] or k_new.shape[3] != self._k.shape[3]:
-                raise ShapeError(
-                    f"cache append shape {k_new.shape} does not extend "
-                    f"{self._k.shape[:2] + (start,) + self._k.shape[3:]}"
-                )
-            if end > self._k.shape[2]:
-                self._k = self._grown(self._k, end)
-                self._v = self._grown(self._v, end)
-        self._k[:, :, start:end] = k_new
-        self._v[:, :, start:end] = v_new
-        self.length = end
-        return self._k[:, :, :end], self._v[:, :, :end]
+        # a block's first write grows empty buffers to exactly its positions
+        k, v = self._buffers[block] if block in self._buffers else (k_new[:, :, :0], v_new[:, :, :0])
+        if k_new.shape[:2] != k.shape[:2] or k_new.shape[3] != k.shape[3]:
+            raise ShapeError(
+                f"cache append shape {k_new.shape} does not extend "
+                f"{k.shape[:2] + (start,) + k.shape[3:]}"
+            )
+        if end > k.shape[2]:
+            k, v = self._buffers[block] = self._grown(k, end), self._grown(v, end)
+        k[:, :, start:end] = k_new
+        v[:, :, start:end] = v_new
+        return k[:, :, :end], v[:, :, :end]
 
     def _grown(self, buf: np.ndarray, needed: int) -> np.ndarray:
         b, h, capacity, d = buf.shape
         out = np.empty((b, h, max(2 * capacity, needed), d))
         out[:, :, : self.length] = buf[:, :, : self.length]
         return out
-
-
-class KVCache:
-    """Per-block key/value history owned by one side of one session."""
-
-    def __init__(self, num_blocks: int):
-        if num_blocks < 1:
-            raise ShapeError("a cache needs at least one block")
-        self._entries = [_CacheEntry() for _ in range(num_blocks)]
-
-    def entries_for(self, num_blocks: int) -> list[_CacheEntry]:
-        if num_blocks != len(self._entries):
-            raise ProtocolError(
-                f"cache built for {len(self._entries)} blocks used with {num_blocks}"
-            )
-        return list(self._entries)
-
-    @property
-    def length(self) -> int:
-        lengths = {entry.length for entry in self._entries}
-        if len(lengths) != 1:
-            raise ProtocolError(f"cache blocks disagree on length: {sorted(lengths)}")
-        return lengths.pop()
 
 
 @dataclass(frozen=True)
@@ -187,7 +161,7 @@ class InferenceServer:
     def handle(self, msg) -> HiddenStateMsg | CacheStepMsg:
         with self._lock:
             if isinstance(msg, HiddenStateMsg):
-                session_id, cache = msg.step_id, KVCache(len(self.middle.blocks))
+                session_id, cache = msg.step_id, KVCache()
                 pads, positions = msg.mask_meta.pads, msg.positions
             elif isinstance(msg, CacheStepMsg):
                 session_id, pads, positions = msg.session_id, 0, (msg.position,)
@@ -244,8 +218,7 @@ class GenerationSession:
     def _restart(self, with_caches: bool) -> None:
         """Forget the prefix: no tokens, fresh caches (or none), step ids from 0."""
         self.tokens: list[int] = []
-        self.front_cache = KVCache(len(self.front.blocks)) if with_caches else None
-        self.back_cache = KVCache(len(self.back.blocks)) if with_caches else None
+        self.front_cache, self.back_cache = (KVCache(), KVCache()) if with_caches else (None, None)
         self._steps = itertools.count()
 
     def _exchange(self, ids: np.ndarray, start: int = 0) -> np.ndarray:

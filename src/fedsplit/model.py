@@ -19,6 +19,7 @@ Tensor table; its blocks hold the table's Tensors, and every by-name access
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -189,17 +190,17 @@ class Block:
         x: Tensor,
         allowed: np.ndarray,
         rope: tuple[np.ndarray, np.ndarray],
-        cache=None,
+        append=None,
         pool: T.BufferPool | None = None,
     ) -> Tensor:
         """``allowed`` masks the cached history plus this pass's keys and
         ``rope`` holds the rotary tables at the pass's positions; the segment
-        builds both once per pass for all of its blocks, and hands its
-        ``pool`` to grad-mode passes without a cache."""
+        builds both once per pass, and hands its ``pool`` to grad-mode passes
+        without a cache and this block's ``append`` to cached ones."""
         cfg = self.config
         h = T.attention_sublayer(
             x, self.attn_norm, self.attn, self.scaling, cfg.num_heads, allowed, rope,
-            cfg.rms_eps, cache, pool,
+            cfg.rms_eps, append, pool,
         )
         return T.mlp_sublayer(h, self.mlp_norm, self.gate, self.up, self.down, cfg.rms_eps, pool)
 
@@ -282,7 +283,8 @@ class SegmentModel:
 
         A pass covers the positions right after ``cache``'s (from 0 without
         one); ``positions``, when given, must be exactly those, and they must
-        fit in ``max_context``. Both are checked before any cache write."""
+        fit in ``max_context``. Both are checked before any cache write; the
+        cache's length advances once the whole pass has run."""
         grad = T.grad_enabled()
         if grad and self._pending is not None:
             raise ProtocolError(f"{self.role} segment ran forward twice without a backward")
@@ -314,18 +316,20 @@ class SegmentModel:
             )
         positions = expected
 
-        entries = [None] * len(self.blocks) if cache is None else cache.entries_for(len(self.blocks))
         if self.blocks:
             allowed = T.causal_mask(x.data.shape[0], past + seq_len, pad_lens, positions)
             rope = T.rope_angles(
                 np.asarray(positions, dtype=np.int64), self.config.head_dim, self.config.rope_base
             )
             pool = self.pool if grad and cache is None else None
-            for block, entry in zip(self.blocks, entries):
-                x = block.forward(x, allowed, rope, entry, pool)
+            for i, block in enumerate(self.blocks):
+                append = None if cache is None else partial(cache.append, i)
+                x = block.forward(x, allowed, rope, append, pool)
         if self.role in ("back", "full"):
             x = T.rms_norm(x, self.final_norm, self.config.rms_eps)
             x = T.linear(x, self.head)
+        if cache is not None:
+            cache.length = expected.stop
         if grad:
             self._pending = (leaf, x)
         return x

@@ -811,7 +811,7 @@ def attention_sublayer(
     allowed: np.ndarray,
     rope: tuple[np.ndarray, np.ndarray],
     eps: float = 1e-5,
-    cache=None,
+    append=None,
     pool: BufferPool | None = None,
 ) -> Tensor:
     """Pre-norm rotary attention and its residual add as one tape node.
@@ -821,10 +821,10 @@ def attention_sublayer(
     ``(weight, lora_a, lora_b)`` Tensors of query, key, value and out: each
     is ``x @ w.T + ((x @ a.T) @ b.T) * scaling``, or ``x @ w.T`` when both
     adapters are None. ``allowed`` is the (batch, queries, keys) mask and
-    ``rope`` the ``rope_angles`` tables at the pass's positions. A ``cache``
-    (anything with ``append(k, v) -> (k_all, v_all)``) takes the rotated keys
-    and the values, and attention reads the whole history it returns. The
-    history is not on the tape, so with a cache the key and value
+    ``rope`` the ``rope_angles`` tables at the pass's positions. A cached pass
+    gives the block's ``append(k, v) -> (k_all, v_all)``, which writes past the
+    cache's length (the segment advances it) and returns the history attention
+    reads. The history is not on the tape, so with a cache the key and value
     projections are not parents. A ``pool`` (never with a cache) supplies
     the full-size arrays, as the module docstring's "Buffer pool" says.
     """
@@ -839,8 +839,8 @@ def attention_sublayer(
     q = _rotate(_split_heads(q_proj, num_heads), cos, sin, pool)
     k = _rotate(_split_heads(k_proj, num_heads), cos, sin, pool)
     v = _split_heads(v_proj, num_heads)
-    if cache is not None:
-        k, v = cache.append(k, v)
+    if append is not None:
+        k, v = append(k, v)
     probs = _attention_probs(q, k, allowed, pool)
     ctx = _merge_heads(
         np.matmul(probs, v) if pool is None else np.matmul(probs, v, out=pool.take(q.shape)), pool
@@ -853,7 +853,7 @@ def attention_sublayer(
         out, proj = out + xd, out
         pool.give(q_proj, k_proj, proj)
     taped = [(projections[0], hq, True)]
-    if cache is None:
+    if append is None:
         taped += [(projections[1], hk, True), (projections[2], hv, False)]
 
     def backward(g):

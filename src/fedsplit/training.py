@@ -229,8 +229,8 @@ class TrainingServer:
     def batch_forward(self, msgs: Sequence[HiddenStateMsg]) -> list[HiddenStateMsg]:
         """One trunk forward over the client-id-ordered concatenation.
 
-        Every message must agree on sequence length (and therefore rotary
-        positions); heterogeneous groups are rejected rather than silently
+        Payloads must be 3-D and agree on sequence length, as messages must on
+        rotary positions; heterogeneous groups are rejected rather than silently
         re-padded so each reply slice stays exactly the solo-forward result.
         """
         with self._lock:
@@ -242,6 +242,9 @@ class TrainingServer:
             ids = [m.client_id for m in ordered]
             if len(set(ids)) != len(ids):
                 raise ProtocolError(f"duplicate client ids in batch: {ids}")
+            for m in ordered:
+                if m.payload.ndim != 3:
+                    raise ShapeError(f"client {m.client_id} payload is not 3-D: {m.payload.shape}")
             head = ordered[0]
             for m in ordered[1:]:
                 if m.payload.shape[1] != head.payload.shape[1]:

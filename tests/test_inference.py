@@ -2,9 +2,12 @@
 
 import dataclasses
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsplit import inference
 from fedsplit.errors import (
@@ -22,6 +25,7 @@ from fedsplit.inference import (
     KVCache,
 )
 from fedsplit.model import (
+    LoraConfig,
     ModelConfig,
     PartitionSpec,
     build_monolithic,
@@ -65,69 +69,87 @@ def manual_greedy(session, prompt, steps):
 
 
 def test_cache_append_accumulates_positions():
-    cache = KVCache(2)
+    cache = KVCache()
     assert cache.length == 0
-    entries = cache.entries_for(2)
     k = np.ones((1, 2, 3, 4))
-    for entry in entries:
-        full_k, full_v = entry.append(k, 2 * k)
+    for block in range(2):
+        full_k, full_v = cache.append(block, k, 2 * k)
         assert full_k.shape == (1, 2, 3, 4)
-    assert cache.length == 3
-    full_k, full_v = entries[0].append(k[:, :, :1], k[:, :, :1])
+    cache.length = 3
+    full_k, full_v = cache.append(0, k[:, :, :1], k[:, :, :1])
     assert full_k.shape == (1, 2, 4, 4)
     np.testing.assert_array_equal(full_v[:, :, :3], 2 * k)
-    with pytest.raises(ProtocolError):
-        cache.length  # blocks now disagree
-    assert KVCache(2).length == 0
+    assert cache.length == 3
+    assert KVCache().length == 0
 
 
-def test_cache_rejects_wrong_block_count_and_shapes():
-    cache = KVCache(2)
-    with pytest.raises(ProtocolError):
-        cache.entries_for(3)
-    entry = cache.entries_for(2)[0]
+def test_cache_rejects_wrong_shapes():
+    cache = KVCache()
     with pytest.raises(ShapeError):
-        entry.append(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 5)))
-    entry.append(np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4)))
+        cache.append(0, np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 5)))
+    cache.append(0, np.ones((1, 2, 1, 4)), np.ones((1, 2, 1, 4)))
+    cache.length = 1
     with pytest.raises(ShapeError):
-        entry.append(np.ones((1, 3, 1, 4)), np.ones((1, 3, 1, 4)))
-
-
-def test_cache_needs_at_least_one_block():
-    with pytest.raises(ShapeError, match="a cache needs at least one block"):
-        KVCache(0)
+        cache.append(0, np.ones((1, 3, 1, 4)), np.ones((1, 3, 1, 4)))
 
 
 def test_cache_views_keep_their_values_across_appends_and_growth():
-    entry = KVCache(1).entries_for(1)[0]
+    cache = KVCache()
     rng = np.random.default_rng(3)
     chunks = [rng.standard_normal((2, 2, n, 4)) for n in (3, 1, 1, 1, 4, 1)]
-    views = [entry.append(chunk, -chunk) for chunk in chunks]
+    views = []
+    for chunk in chunks:
+        views.append(cache.append(0, chunk, -chunk))
+        cache.length += chunk.shape[2]
     seen = np.concatenate(chunks, axis=2)
     for k, v in views:
         n = k.shape[2]
         assert k.tobytes() == np.ascontiguousarray(seen[:, :, :n]).tobytes()
         assert v.tobytes() == np.ascontiguousarray(-seen[:, :, :n]).tobytes()
-    assert entry.length == 11
+    assert cache.length == 11
 
 
-class _ConcatEntry:
-    """Reference cache entry: the whole history re-concatenated per append."""
+def test_a_pass_that_fails_part_way_leaves_the_cache_as_it_was(monkeypatch):
+    """The second block of a two-block segment raises once during a decode
+    pass: the cache keeps its length, and the same pass run again gives the
+    bits of a cache that was never disturbed."""
+    two = dataclasses.replace(CFG, num_blocks=2)
+    segment = build_monolithic(two, seed=4)
+    prompt, token = np.asarray([[3, 1, 4, 1, 5]]), np.asarray([[9]])
+    disturbed, undisturbed = KVCache(), KVCache()
+    with no_grad():
+        for cache in (disturbed, undisturbed):
+            segment.forward(prompt, cache=cache)
+        want = segment.forward(token, cache=undisturbed).data
+        block_forward = segment.blocks[1].forward
+
+        def fail_once(*args, **kwargs):
+            monkeypatch.setattr(segment.blocks[1], "forward", block_forward)
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(segment.blocks[1], "forward", fail_once)
+        with pytest.raises(RuntimeError, match="block failed"):
+            segment.forward(token, cache=disturbed)
+        assert disturbed.length == 5
+        got = segment.forward(token, cache=disturbed).data
+    assert disturbed.length == undisturbed.length == 6
+    assert got.tobytes() == want.tobytes()
+
+
+class _ConcatCache:
+    """Reference cache: each block's whole history re-concatenated per append."""
 
     def __init__(self):
-        self.k = self.v = None
+        self.length = 0
+        self.k, self.v = {}, {}
 
-    @property
-    def length(self):
-        return 0 if self.k is None else self.k.shape[2]
-
-    def append(self, k_new, v_new):
-        if self.k is None:
-            self.k, self.v = k_new.copy(), v_new.copy()
+    def append(self, block, k_new, v_new):
+        if block not in self.k:
+            self.k[block], self.v[block] = k_new.copy(), v_new.copy()
         else:
-            self.k = np.concatenate([self.k, k_new], axis=2)
-            self.v = np.concatenate([self.v, v_new], axis=2)
-        return self.k, self.v
+            self.k[block] = np.concatenate([self.k[block], k_new], axis=2)
+            self.v[block] = np.concatenate([self.v[block], v_new], axis=2)
+        return self.k[block], self.v[block]
 
 
 @pytest.mark.parametrize("transport", ["loopback", "tcp"])
@@ -148,11 +170,58 @@ def test_cached_decode_is_bitwise_equal_to_concatenating_cache(transport, monkey
 
     logits, cache = decode_logits()
     # a 5-position prefill buffer doubled to 10, 20, 40 and 80 positions
-    assert cache.length == 65 and cache.entries_for(1)[0]._k.shape[2] == 80
+    assert cache.length == 65 and cache._buffers[0][0].shape[2] == 80
     with monkeypatch.context() as patch:
-        patch.setattr(inference, "_CacheEntry", _ConcatEntry)
-        reference, _ = decode_logits()
+        patch.setattr(inference, "KVCache", _ConcatCache)
+        reference, reference_cache = decode_logits()
+    assert isinstance(reference_cache, _ConcatCache) and reference_cache.length == 65
     assert [a.tobytes() for a in logits] == [b.tobytes() for b in reference]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    num_heads=st.integers(1, 2),
+    head_dim=st.sampled_from([2, 4]),
+    partition=st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+    lora=st.booleans(),
+    prompt_len=st.integers(1, 5),
+    extra_steps=st.integers(1, 8),
+    seed=st.integers(0, 3),
+)
+def test_cached_decoding_matches_uncached_and_concatenating_decoding(
+    num_heads, head_dim, partition, lora, prompt_len, extra_steps, seed
+):
+    """Over any width, heads, partition and LoRA setting, greedy decoding
+    over loopback picks the same token at every step with the cache, with a
+    concatenating reference cache and with no cache. The prefill fills each
+    block's buffer exactly and more decode steps follow than the prompt has
+    tokens, so every buffer doubles at least twice, and the logits stay
+    bitwise the reference's. Against the uncached recompute they agree to
+    rounding only: a 1-row matmul and the same row of an L-row one round
+    differently."""
+    steps = prompt_len + extra_steps
+    cfg = ModelConfig(
+        vocab_size=16, hidden_size=num_heads * head_dim, num_heads=num_heads,
+        num_blocks=sum(partition), mlp_hidden=8, max_context=prompt_len + steps,
+    )
+    segments = build_partitioned(
+        cfg, PartitionSpec(*partition), LoraConfig(rank=2) if lora else None, seed=seed
+    )
+    prompt = [int(t) for t in np.random.default_rng(seed).integers(0, 16, size=prompt_len)]
+
+    def decode(use_cache):
+        with InferenceStack(*segments, use_cache=use_cache) as stack:
+            logits = [stack.session.prefill(prompt)]
+            for _ in range(steps):
+                logits.append(stack.session.decode_step(int(np.argmax(logits[-1]))))
+        return logits
+
+    cached, uncached = decode(True), decode(False)
+    with mock.patch.object(inference, "KVCache", _ConcatCache):
+        reference = decode(True)
+    assert [a.tobytes() for a in cached] == [b.tobytes() for b in reference]
+    assert [int(np.argmax(a)) for a in cached] == [int(np.argmax(b)) for b in uncached]
+    np.testing.assert_allclose(np.array(cached), np.array(uncached), rtol=1e-12, atol=1e-12)
 
 
 def test_generation_config_validation():

@@ -11,6 +11,7 @@ against the graphs of primitive ops they fuse, which live only here.
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def composed_adapted_linear(x, w, a, b, scaling):
     return add(linear(x, w), scale(linear(linear(x, a), b), scaling))
 
 
-def composed_attention(x, norm, projections, scaling, num_heads, allowed, rope, eps, cache=None):
+def composed_attention(x, norm, projections, scaling, num_heads, allowed, rope, eps, append=None):
     """The attention sublayer as the op graph a block ran before it was one node."""
 
     def project(t, w, a, b):
@@ -144,10 +145,10 @@ def composed_attention(x, norm, projections, scaling, num_heads, allowed, rope, 
     v = split_heads(project(xn, *projections[2]), num_heads)
     qr = apply_rope(q, None, tables=rope)
     kr = apply_rope(k, None, tables=rope)
-    if cache is None:
+    if append is None:
         ctx = attend(qr, kr, v, allowed)
     else:
-        k_all, v_all = cache.append(kr.data, v.data)
+        k_all, v_all = append(kr.data, v.data)
         ctx = attend(qr, Tensor(k_all), Tensor(v_all), allowed)
     return add(x, project(merge_heads(ctx), *projections[3]))
 
@@ -159,10 +160,10 @@ def composed_mlp(h, norm, gate, up, down, eps):
     return add(h, linear(gated, down))
 
 
-def composed_block_forward(block, x, allowed, rope, cache=None, pool=None):
+def composed_block_forward(block, x, allowed, rope, append=None, pool=None):
     cfg = block.config
     h = composed_attention(
-        x, block.attn_norm, block.attn, block.scaling, cfg.num_heads, allowed, rope, cfg.rms_eps, cache
+        x, block.attn_norm, block.attn, block.scaling, cfg.num_heads, allowed, rope, cfg.rms_eps, append
     )
     return composed_mlp(h, block.mlp_norm, block.gate, block.up, block.down, cfg.rms_eps)
 
@@ -386,13 +387,15 @@ def attention_arrays(seed, lora, batch=2, seq=3, dim=8, rank=2):
 
 
 def history(seed, batch, past, dim):
-    """A cache entry holding ``past`` positions of rotated keys and values."""
-    entry = KVCache(1).entries_for(1)[0]
+    """One block's append to a cache holding ``past`` positions of rotated
+    keys and values."""
+    cache = KVCache()
     if past:
         rng = np.random.default_rng(seed)
         shape = (batch, HEADS, past, dim // HEADS)
-        entry.append(rng.standard_normal(shape), rng.standard_normal(shape))
-    return entry
+        cache.append(0, rng.standard_normal(shape), rng.standard_normal(shape))
+        cache.length = past
+    return partial(cache.append, 0)
 
 
 def attention_builds(arrays, lora, past):
@@ -410,8 +413,8 @@ def attention_builds(arrays, lora, past):
         def run(ts):
             weights = ts[2:]
             projections = [tuple(weights[per * i: per * i + per]) + (None,) * (3 - per) for i in range(4)]
-            cache = history(18, batch, past, dim) if cached else None
-            return fn(ts[0], ts[1], projections, 1.5, HEADS, allowed, rope, 1e-5, cache)
+            append = history(18, batch, past, dim) if cached else None
+            return fn(ts[0], ts[1], projections, 1.5, HEADS, allowed, rope, 1e-5, append)
         return run
 
     parents = list(range(len(arrays)))

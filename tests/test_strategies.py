@@ -40,7 +40,14 @@ from fedsplit.training import (
     TrainingServer,
 )
 from fedsplit.transport import LoopbackChannel, MessageChannel, channel_pair
-from fedsplit.wire import GradMsg, HiddenStateMsg, MaskMeta, parse_header
+from fedsplit.wire import (
+    GradMsg,
+    HiddenStateMsg,
+    MaskMeta,
+    decode_message,
+    encode_message,
+    parse_header,
+)
 
 CFG = ModelConfig(vocab_size=32, hidden_size=16, num_heads=2, num_blocks=4, mlp_hidden=24)
 PART = PartitionSpec(1, 2, 1)
@@ -188,6 +195,21 @@ def test_batch_forward_rejects_a_client_that_differs_from_the_first(change, mess
     with pytest.raises(BatchIncompatibilityError, match=message):
         server.batch_forward([msgs[0], change(msgs[1])])
     assert len(server.batch_forward(msgs)) == 2  # the rejection left no step in flight
+
+
+@pytest.mark.parametrize("bad_id", [0, 1], ids=["bad_first", "bad_second"])
+def test_batch_forward_rejects_a_payload_that_is_not_3d(bad_id):
+    """A frame carries a 1-D hidden payload (the wire checks only its first
+    dimension against the mask's batch); the group is refused with a typed
+    error naming that client, whether it sorts first or second."""
+    msgs = hidden_msgs(2, seq=5, batch=1)
+    bad = decode_message(encode_message(dataclasses.replace(msgs[bad_id], payload=np.ones(1))))
+    assert bad.payload.shape == (1,)
+    group = [bad if m.client_id == bad_id else m for m in msgs]
+    server = ClientBatchServer(fresh_middle(), lr=0.1)
+    with pytest.raises(ShapeError, match=rf"client {bad_id} payload is not 3-D: \(1,\)"):
+        server.batch_forward(group)
+    assert len(server.batch_forward(msgs)) == 2  # nothing was left in flight
 
 
 def test_batch_forward_rejects_duplicates_and_overlap():
