@@ -20,12 +20,15 @@ any number of prompts in turn.
 
 Prefill-only work (cloze scoring) batches: ``prefill_batch`` takes any number
 of prompts and sends those of one length as exchanges of up to
-``MAX_PREFILL_ROWS`` rows. Equal lengths need no padding and every op works
-per row, so each row's logits are bitwise the one-row prefill's.
+``MAX_PREFILL_ROWS`` rows, with one exchange in flight. While the server runs
+the trunk on one exchange, the client runs the next exchange's front blocks
+and the previous one's back blocks. Equal lengths need no padding and every
+op works per row, so each row's logits are bitwise the one-row prefill's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 from dataclasses import dataclass
@@ -46,10 +49,10 @@ from .model import SegmentModel
 from .transport import MessageChannel, channel_pair, serve_channel
 from .wire import CacheStepMsg, HiddenStateMsg, MaskMeta, reply_to
 
-# Rows per batched prefill. With the default model (width 64, 4 heads, context
-# 128) one exchange holds at most 1 MiB of hidden state and 8.4 MB of
+# Rows per batched prefill exchange. With the default model (width 64, 4 heads,
+# context 128) one exchange holds at most 512 KiB of hidden state and 4.2 MB of
 # attention scores.
-MAX_PREFILL_ROWS = 16
+MAX_PREFILL_ROWS = 8
 
 
 class KVCache:
@@ -221,30 +224,37 @@ class GenerationSession:
         self.front_cache, self.back_cache = (KVCache(), KVCache()) if with_caches else (None, None)
         self._steps = itertools.count()
 
-    def _exchange(self, ids: np.ndarray, start: int = 0) -> np.ndarray:
-        """Send a ``(rows, L)`` token array at positions ``start`` onward
-        across the split; returns the ``(rows, vocab)`` logits at its last
-        position. From position 0 it goes as a ``HiddenStateMsg``, which
-        (re)fills the session's caches if it holds any; later it goes as one
-        ``CacheStepMsg`` extending them. A failure after the front forward
-        drops the prefix, since the caches no longer agree on its length."""
+    def _front_pass(self, ids: np.ndarray, start: int = 0) -> HiddenStateMsg | CacheStepMsg:
+        """The front blocks over a ``(rows, L)`` token array at positions
+        ``start`` onward, as the message that carries them across the split.
+        From position 0 it is a ``HiddenStateMsg``, which (re)fills the
+        session's caches if it holds any; later it is one ``CacheStepMsg``
+        extending them. The caller holds ``T.no_grad()``."""
         rows, length = ids.shape
-        with T.no_grad():
-            h = self.front.forward(ids, cache=self.front_cache)
+        h = self.front.forward(ids, cache=self.front_cache)
         if start == 0:
-            msg = HiddenStateMsg(h.data, MaskMeta(length, 0, rows), tuple(range(length)),
-                                 step_id=self.session_id, client_id=0)
-        else:
-            msg = CacheStepMsg(h.data, position=start, session_id=self.session_id,
-                               step_id=next(self._steps))
-        try:
-            reply = self.channel.request(msg)
-            with T.no_grad():
-                logits = self.back.forward(reply.payload, cache=self.back_cache)
-        except BaseException:
-            self.tokens = []
-            raise
-        return logits.data[:, -1]
+            return HiddenStateMsg(h.data, MaskMeta(length, 0, rows), tuple(range(length)),
+                                  step_id=self.session_id, client_id=0)
+        return CacheStepMsg(h.data, position=start, session_id=self.session_id,
+                            step_id=next(self._steps))
+
+    def _back_pass(self, reply: HiddenStateMsg | CacheStepMsg) -> np.ndarray:
+        """The back blocks over a reply's hidden state; returns the ``(rows,
+        vocab)`` logits at its last position. The caller holds ``T.no_grad()``."""
+        return self.back.forward(reply.payload, cache=self.back_cache).data[:, -1]
+
+    def _exchange(self, ids: np.ndarray, start: int = 0) -> np.ndarray:
+        """One round trip of ``_front_pass(ids, start)``; returns its logits.
+        A failure after the front forward drops the prefix, since the caches
+        no longer agree on its length."""
+        with T.no_grad():
+            msg = self._front_pass(ids, start)
+            try:
+                self.channel.send(msg)
+                return self._back_pass(self.channel.wait_reply(msg))
+            except BaseException:
+                self.tokens = []
+                raise
 
     def prefill(self, prompt: Sequence[int]) -> np.ndarray:
         """Full-prompt pass; returns the logits at the last position.
@@ -263,19 +273,43 @@ class GenerationSession:
         prompt order.
 
         Prompts of one length share exchanges of at most ``MAX_PREFILL_ROWS``
-        rows, lengths in first-seen order. The session is left with no prefix
-        and no caches, so decoding needs a fresh ``prefill``.
+        rows, lengths in first-seen order, with one exchange in flight: exchange
+        k + 1 is sent once exchange k's reply is read, and while the server
+        runs exchange k the client runs the back blocks of k - 1 and the front
+        blocks of k + 1. A failure reads any unread reply before it propagates,
+        so the session stays usable. The session is left with no prefix and no
+        caches, so decoding needs a fresh ``prefill``.
         """
         if not prompts:
             raise ShapeError("a batched prefill takes at least one prompt")
         rows = [self._check_prompt(p) for p in prompts]
         self._restart(with_caches=False)
-        logits = np.empty((len(rows), self.back.config.vocab_size))
+        chunks = []
         for length in dict.fromkeys(map(len, rows)):
             group = [i for i, row in enumerate(rows) if len(row) == length]
-            for start in range(0, len(group), MAX_PREFILL_ROWS):
-                chunk = group[start:start + MAX_PREFILL_ROWS]
-                logits[chunk] = self._exchange(np.asarray([rows[i] for i in chunk]))
+            chunks += [group[s:s + MAX_PREFILL_ROWS] for s in range(0, len(group), MAX_PREFILL_ROWS)]
+        logits = np.empty((len(rows), self.back.config.vocab_size))
+        unread = False  # msg is sent and its reply not yet read
+        try:
+            with T.no_grad():
+                msg = self._front_pass(np.asarray([rows[i] for i in chunks[0]]))
+                for k in range(len(chunks)):
+                    self.channel.send(msg)
+                    unread = True
+                    if k:
+                        logits[chunks[k - 1]] = self._back_pass(reply)
+                    upcoming = (self._front_pass(np.asarray([rows[i] for i in chunks[k + 1]]))
+                                if k + 1 < len(chunks) else None)
+                    unread = False
+                    reply = self.channel.wait_reply(msg)
+                    msg = upcoming
+                logits[chunks[-1]] = self._back_pass(reply)
+        except BaseException:
+            # left unread, the reply would fail the next exchange's echo check
+            if unread:
+                with contextlib.suppress(ChannelClosedError, FrameError, ProtocolError):
+                    self.channel.wait_reply(msg)
+            raise
         return logits
 
     def decode_step(self, last_token: int) -> np.ndarray:

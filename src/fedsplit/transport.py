@@ -11,6 +11,7 @@ module holds no state of its own.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import threading
@@ -83,6 +84,7 @@ class TcpChannel:
             try:
                 self._sock.sendall(frame)
             except OSError as exc:
+                self.close()  # part of the frame may be on the wire, so the stream cannot resync
                 raise ChannelClosedError(f"socket send failed: {exc}") from exc
 
     def _read_exact(self, n: int, mid_frame: bool) -> bytes:
@@ -117,18 +119,24 @@ class TcpChannel:
             self._sock.settimeout(timeout)
         except OSError as exc:
             raise ChannelClosedError(f"socket recv failed: {exc}") from exc
-        header = self._read_exact(HEADER.size, mid_frame=False)
         try:
-            _, body_len = parse_header(header)
-            if body_len > MAX_FRAME_BODY:
-                raise FrameError(
-                    f"frame announces a {body_len}-byte body, over the {MAX_FRAME_BODY}-byte "
-                    "limit", 6
-                )
-        except FrameError:
-            self.close()  # the body's length is unknown, so the stream cannot resync
-            raise
-        return header + self._read_exact(body_len, mid_frame=True)
+            header = self._read_exact(HEADER.size, mid_frame=False)
+            try:
+                _, body_len = parse_header(header)
+                if body_len > MAX_FRAME_BODY:
+                    raise FrameError(
+                        f"frame announces a {body_len}-byte body, over the {MAX_FRAME_BODY}-byte "
+                        "limit", 6
+                    )
+            except FrameError:
+                self.close()  # the body's length is unknown, so the stream cannot resync
+                raise
+            return header + self._read_exact(body_len, mid_frame=True)
+        finally:
+            if timeout is not None:
+                # the timeout bounds this receive only, not later sends on the socket
+                with contextlib.suppress(OSError):
+                    self._sock.settimeout(None)
 
     def close(self) -> None:
         if not self._closed:
@@ -228,9 +236,14 @@ class MessageChannel:
         return msg
 
     def request(self, msg: Message, timeout: float | None = None) -> Message:
-        """Send and wait for the reply; counts one round trip. A reply that does
-        not echo the request's ``wire.stamp`` raises ``ProtocolError``."""
+        """Send and wait for the reply."""
         self.send(msg)
+        return self.wait_reply(msg, timeout)
+
+    def wait_reply(self, msg: Message, timeout: float | None = None) -> Message:
+        """Receive the reply to ``msg``, already sent; counts one round trip. A
+        reply that does not echo the request's ``wire.stamp`` raises
+        ``ProtocolError``."""
         reply = self.recv(timeout)
         self.stats.record_round_trip()
         if stamp(reply) != stamp(msg):

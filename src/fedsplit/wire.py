@@ -7,8 +7,8 @@ Every message travels as one frame:
 Each protocol rule is written once. ``LAYOUT`` lists each message class's
 fields in wire order, payload last, and both codecs walk it. A reply is its
 request with a new payload (``reply_to``), so it echoes the request's
-``stamp``: its class and every field but the payload. ``MessageChannel.request``
-raises ``ProtocolError`` on a reply that does not.
+``stamp``: its class and every field but the payload.
+``MessageChannel.wait_reply`` raises ``ProtocolError`` on a reply that does not.
 
 Integers are unsigned 64-bit little-endian; tensor scalars are little-endian
 IEEE float64, behind a per-tensor width byte that is always 8. Decoding is

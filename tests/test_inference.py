@@ -403,6 +403,113 @@ def test_prefill_batch_splits_by_length_and_row_limit(transport):
     assert stats["round_trips"] == len(shapes)
 
 
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_prefill_batch_keeps_one_exchange_in_flight(transport, monkeypatch):
+    """Chunk 1's front blocks run between sending chunk 0 and reading its
+    reply, and chunk 0's back blocks after chunk 1 is sent: no send happens
+    while a reply is unread."""
+    rng = np.random.default_rng(15)
+    prompts = [random_prompt(rng, 6) for _ in range(2 * inference.MAX_PREFILL_ROWS)]
+    events = []
+
+    def record(obj, name, label):
+        real = getattr(obj, name)
+
+        def recorded(*args, **kwargs):
+            events.append(f"{label} {sum(e.startswith(label) for e in events)}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(obj, name, recorded)
+
+    with build_stack(transport=transport) as stack:
+        session = stack.session
+        record(session.front, "forward", "front")
+        record(session.back, "forward", "back")
+        record(session.channel, "send", "send")
+        record(session.channel, "wait_reply", "reply")
+        logits = session.prefill_batch(prompts)
+    assert events == ["front 0", "send 0", "front 1", "reply 0",
+                      "send 1", "back 0", "reply 1", "back 1"]
+    np.testing.assert_array_equal(logits, one_row_logits(prompts, transport))
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_pipelined_prefill_frames_equal_one_call_per_chunk(transport):
+    rng = np.random.default_rng(16)
+    limit = inference.MAX_PREFILL_ROWS
+    chunks = [[random_prompt(rng, 7) for _ in range(limit)] for _ in range(2)]
+    chunks.append([random_prompt(rng, 3) for _ in range(2)])
+    with build_stack(transport=transport, record_frames=True) as stack:
+        logits = stack.session.prefill_batch([p for chunk in chunks for p in chunk])
+        pipelined = (stack.session.channel.sent_log, stack.session.channel.recv_log)
+    with build_stack(transport=transport, record_frames=True) as stack:
+        one_by_one = np.concatenate([stack.session.prefill_batch(chunk) for chunk in chunks])
+        serial = (stack.session.channel.sent_log, stack.session.channel.recv_log)
+    assert len(pipelined[0]) == len(pipelined[1]) == 3
+    assert pipelined == serial
+    np.testing.assert_array_equal(logits, one_by_one)
+
+
+class _FrontFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_a_failure_inside_a_pipelined_prefill_leaves_the_session_usable(transport, monkeypatch):
+    """The second chunk's front forward raises while the first chunk's reply
+    is unread; the session reads that reply before the error propagates, so
+    the next exchanges see only their own replies."""
+    rng = np.random.default_rng(17)
+    prompts = [random_prompt(rng, 5) for _ in range(2 * inference.MAX_PREFILL_ROWS + 1)]
+    prompt, batch = random_prompt(rng, 4), prompts[:3] + [random_prompt(rng, 8)]
+    with build_stack(transport=transport) as fresh:
+        expected = fresh.session.prefill(prompt), fresh.session.prefill_batch(batch)
+    with build_stack(transport=transport) as stack:
+        session = stack.session
+        forward = session.front.forward
+        calls = []
+
+        def fail_second_chunk(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise _FrontFailure("front forward failed")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(session.front, "forward", fail_second_chunk)
+        with pytest.raises(_FrontFailure):
+            session.prefill_batch(prompts)
+        got = session.prefill(prompt), session.prefill_batch(batch)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
+
+
+_PROPERTY_SEGMENTS = build_partitioned(CFG, PART, seed=18)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=3 * inference.MAX_PREFILL_ROWS + 1),
+    seed=st.integers(0, 3),
+)
+def test_prefill_batch_is_one_row_prefills_in_few_exchanges(lengths, picks, seed):
+    """Any mix of up to three lengths: every row is bitwise its one-row
+    prefill, and a length group of n prompts takes ceil(n / MAX_PREFILL_ROWS)
+    exchanges."""
+    rng = np.random.default_rng(seed)
+    prompts = [random_prompt(rng, lengths[i % len(lengths)]) for i in picks]
+    with InferenceStack(*_PROPERTY_SEGMENTS) as stack:
+        session = stack.session
+        session.channel.sent_log = []
+        logits = session.prefill_batch(prompts)
+        sent = [decode_message(frame).payload.shape[1] for frame in session.channel.sent_log]
+        rows = [session.prefill(p) for p in prompts]
+    assert [a.tobytes() for a in logits] == [b.tobytes() for b in rows]
+    for length in set(map(len, prompts)):
+        n = sum(len(p) == length for p in prompts)
+        assert sent.count(length) == -(-n // inference.MAX_PREFILL_ROWS)
+
+
 # ---------------------------------------------------------------------------
 # decode
 
@@ -685,16 +792,16 @@ def test_transport_failure_returns_partial_result_with_error():
         clean = reference_stack.session.generate(prompt, GenerationConfig(max_new_tokens=6))
     with build_stack(seed=3) as stack:
         session = stack.session
-        real_request = session.channel.request
+        real_send = session.channel.send
         calls = []
 
-        def flaky(msg, timeout=None):
+        def flaky(msg):
             if len(calls) >= 2:
                 raise ChannelClosedError("link dropped")
             calls.append(1)
-            return real_request(msg, timeout)
+            real_send(msg)
 
-        session.channel.request = flaky
+        session.channel.send = flaky
         result = session.generate(prompt, GenerationConfig(max_new_tokens=6))
     assert not result.ok
     assert "link dropped" in result.error

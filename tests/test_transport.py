@@ -369,6 +369,47 @@ def test_a_send_on_a_dead_tcp_socket_is_channel_closed():
         client.close()
 
 
+def test_a_tcp_receive_timeout_bounds_that_receive_only():
+    server, client = tcp_pair()
+    # larger than the socket buffers, so the send waits for the reader
+    frame = encode_message(GradMsg(np.arange(20 * 2**17, dtype=np.float64).reshape(1, -1),
+                                   step_id=0, client_id=0))
+    got = []
+
+    def read_late():
+        time.sleep(0.3)
+        got.append(server.recv_frame(timeout=10.0))
+
+    reader = threading.Thread(target=read_late)
+    try:
+        with pytest.raises(ProtocolError, match="timed out"):
+            client.recv_frame(timeout=0.01)
+        reader.start()
+        client.send_frame(frame)
+        reader.join(timeout=10.0)
+        assert got == [frame]
+    finally:
+        server.close()
+        client.close()
+        if reader.ident is not None:
+            reader.join(timeout=10.0)
+
+
+def test_a_failed_tcp_send_closes_the_channel():
+    server, client = tcp_pair()
+    frame = encode_message(make_messages(1)[0])
+    try:
+        server.close()
+        with pytest.raises(ChannelClosedError, match="socket send failed"):
+            for _ in range(100):  # the first sends may land before the peer's reset
+                client.send_frame(frame)
+                time.sleep(0.01)
+        with pytest.raises(ChannelClosedError, match="recv on a closed channel"):
+            client.recv_frame(timeout=1.0)
+    finally:
+        client.close()
+
+
 def test_an_accept_timeout_is_a_protocol_error():
     listener, _ = transport.tcp_listen()
     try:
